@@ -67,15 +67,6 @@ def momentum(i: int) -> PhaseExpr:
     return PhaseExpr.var(MOMENTUM_NAMES[i - 1])
 
 
-def momentum_upper(i: int) -> PhaseExpr:
-    return PhaseExpr.const(METRIC[i - 1]) * momentum(i)
-
-
-def momentum_square() -> PhaseExpr:
-    """p^i p_i = p_x^2 + p_y^2 - p_z^2."""
-    return parse_expr("p_x^2 + p_y^2 - p_z^2")
-
-
 def angular_j(i: int, flip_sign=False) -> PhaseExpr:
     """J^i = -epsilon^{ijk} x_j p_k."""
     out = PhaseExpr.const(0)
@@ -89,10 +80,6 @@ def angular_j(i: int, flip_sign=False) -> PhaseExpr:
 
 def angular_j_lower(i: int, flip_sign=False) -> PhaseExpr:
     return PhaseExpr.const(METRIC[i - 1]) * angular_j(i, flip_sign=flip_sign)
-
-
-def free_hamiltonian() -> PhaseExpr:
-    return parse_expr("(p_x^2 + p_y^2 - p_z^2)/(2*m)")
 
 
 def extended_hamiltonian() -> PhaseExpr:
@@ -263,6 +250,7 @@ def constraint_chain(h_tilde: PhaseExpr | None = None, max_length: int = 8) -> C
 
 @dataclass(frozen=True)
 class BracketMatrix:
+    constraints: ConstraintSet
     entries: tuple          # 4x4 tuple of PhaseExpr, reduced on-shell
     inverse: tuple          # 4x4 tuple of PhaseExpr
 
@@ -355,40 +343,34 @@ def bracket_matrix(cs: ConstraintSet) -> BracketMatrix:
             if entries[i][j] != -entries[j][i]:
                 raise ConstraintError(f"bracket matrix not antisymmetric at ({i},{j})")
     inverse = invert_matrix(entries)
-    return BracketMatrix(entries, inverse)
+    return BracketMatrix(cs, entries, inverse)
 
 
 # -- Dirac bracket -----------------------------------------------------
 
-_matrix_cache: dict = {}
+
+def constraint_vector(a: PhaseExpr, bm: BracketMatrix) -> tuple:
+    """({A, C_1}, ..., {A, C_4}), each reduced on-shell."""
+    return tuple(reduce_on_shell(poisson(a, c)) for c in bm.constraints)
 
 
-def _matrix_for(cs: ConstraintSet) -> BracketMatrix:
-    key = tuple(str(c) for c in cs)
-    bm = _matrix_cache.get(key)
-    if bm is None:
-        bm = bracket_matrix(cs)
-        _matrix_cache[key] = bm
-    return bm
-
-
-def dirac_bracket(a: PhaseExpr, b: PhaseExpr, cs: ConstraintSet | None = None) -> PhaseExpr:
-    """{A, B}_M = {A, B} - {A, C_i} Minv_ij {C_j, B}, reduced on-shell."""
-    if cs is None:
-        cs = constraint_chain()
-    bm = _matrix_for(cs)
+def _dirac(a: PhaseExpr, a_vec: tuple, b: PhaseExpr, b_vec: tuple,
+           bm: BracketMatrix) -> PhaseExpr:
+    # {C_j, B} = -{B, C_j}, so one constraint vector per operand serves
+    # both sides of the correction term
     out = poisson(a, b)
-    n = len(cs)
-    ac = [reduce_on_shell(poisson(a, cs[i])) for i in range(n)]
-    cb = [reduce_on_shell(poisson(cs[j], b)) for j in range(n)]
-    for i in range(n):
-        if ac[i].is_zero():
+    for i, ac in enumerate(a_vec):
+        if ac.is_zero():
             continue
-        for j in range(n):
-            if cb[j].is_zero():
-                continue
-            out = out - ac[i] * bm.inv_entry(i, j) * cb[j]
+        for j, bc in enumerate(b_vec):
+            if not bc.is_zero():
+                out = out + ac * bm.inv_entry(i, j) * bc
     return reduce_on_shell(out)
+
+
+def dirac_bracket(a: PhaseExpr, b: PhaseExpr, bm: BracketMatrix) -> PhaseExpr:
+    """{A, B}_M = {A, B} - {A, C_i} Minv_ij {C_j, B}, reduced on-shell."""
+    return _dirac(a, constraint_vector(a, bm), b, constraint_vector(b, bm), bm)
 
 
 # -- ISO(1,2) verification ---------------------------------------------
@@ -397,13 +379,14 @@ def dirac_bracket(a: PhaseExpr, b: PhaseExpr, cs: ConstraintSet | None = None) -
 @dataclass
 class IdentityCheck:
     name: str
-    residual: PhaseExpr  # two-rule on-shell normal form, for display
     passed: bool
 
 
 @dataclass
 class Iso12Report:
     checks: list = field(default_factory=list)
+    # every Dirac bracket computed, keyed "A,B" ("x1,p2", "J3,x1", "x.x,J2")
+    table: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -413,50 +396,52 @@ class Iso12Report:
         return [c for c in self.checks if not c.passed]
 
 
-def verify_iso12(cs: ConstraintSet | None = None, flip_epsilon_sign: bool = False) -> Iso12Report:
+def verify_iso12(bm: BracketMatrix, flip_epsilon_sign: bool = False) -> Iso12Report:
     """Check the full Dirac-bracket algebra of (x^i, J^i) symbolically.
 
-    flip_epsilon_sign injects a deliberate sign error into the epsilon
-    tensor (negative-control hook for the verification CLI).
+    Each operand's constraint vector is computed once and shared by all
+    the brackets it enters.  flip_epsilon_sign injects a deliberate sign
+    error into the epsilon tensor (negative-control hook for the
+    verification CLI).
     """
-    if cs is None:
-        cs = constraint_chain()
     flip = flip_epsilon_sign
     report = Iso12Report()
 
     def add(name, residual):
-        report.checks.append(
-            IdentityCheck(name, reduce_on_shell(residual), is_zero_on_shell(residual))
-        )
+        report.checks.append(IdentityCheck(name, is_zero_on_shell(residual)))
 
-    xs = {i: coord(i) for i in range(1, 4)}
-    js = {i: angular_j(i) for i in range(1, 4)}
+    operands = {
+        "x.x": sum((coord(i) * coord_lower(i) for i in range(1, 4)), PhaseExpr.const(0)),
+        "x.J": sum((coord(i) * angular_j_lower(i) for i in range(1, 4)), PhaseExpr.const(0)),
+    }
+    for i in range(1, 4):
+        operands.update({f"x{i}": coord(i), f"p{i}": momentum(i), f"J{i}": angular_j(i)})
+    vectors = {k: constraint_vector(v, bm) for k, v in operands.items()}
+
+    def dirac(a, b):
+        val = _dirac(operands[a], vectors[a], operands[b], vectors[b], bm)
+        report.table[f"{a},{b}"] = val
+        return val
 
     # {x^i, x^j}_M = 0
     for i in range(1, 4):
         for j in range(1, 4):
-            add(f"dirac(x{i},x{j})=0", dirac_bracket(xs[i], xs[j], cs))
+            add(f"dirac(x{i},x{j})=0", dirac(f"x{i}", f"x{j}"))
 
     # {x^i, p_j}_M = delta^i_j + x^i x_j / a^2
     a2 = parse_expr("a^2")
     for i in range(1, 4):
         for j in range(1, 4):
-            expected = xs[i] * coord_lower(j) / a2
+            expected = coord(i) * coord_lower(j) / a2
             if i == j:
                 expected = expected + 1
-            add(
-                f"dirac(x{i},p{j})=delta+xx/a^2",
-                dirac_bracket(xs[i], momentum(j), cs) - expected,
-            )
+            add(f"dirac(x{i},p{j})=delta+xx/a^2", dirac(f"x{i}", f"p{j}") - expected)
 
     # {p_i, p_j}_M = (x_i p_j - x_j p_i)/a^2
     for i in range(1, 4):
         for j in range(1, 4):
             expected = (coord_lower(i) * momentum(j) - coord_lower(j) * momentum(i)) / a2
-            add(
-                f"dirac(p{i},p{j})=(xp-xp)/a^2",
-                dirac_bracket(momentum(i), momentum(j), cs) - expected,
-            )
+            add(f"dirac(p{i},p{j})=(xp-xp)/a^2", dirac(f"p{i}", f"p{j}") - expected)
 
     # {J^i, x^j}_M = -eps^{ijk} x_k
     for i in range(1, 4):
@@ -466,10 +451,7 @@ def verify_iso12(cs: ConstraintSet | None = None, flip_epsilon_sign: bool = Fals
                 s = eps_upper(i, j, k, flip_sign=flip)
                 if s:
                     expected = expected - PhaseExpr.const(s) * coord_lower(k)
-            add(
-                f"dirac(J{i},x{j})=-eps*x",
-                dirac_bracket(js[i], xs[j], cs) - expected,
-            )
+            add(f"dirac(J{i},x{j})=-eps*x", dirac(f"J{i}", f"x{j}") - expected)
 
     # {J^i, J^j}_M = -eps^{ijk} J_k
     for i in range(1, 4):
@@ -481,18 +463,13 @@ def verify_iso12(cs: ConstraintSet | None = None, flip_epsilon_sign: bool = Fals
                     expected = expected - PhaseExpr.const(s) * angular_j_lower(k)
             add(
                 f"dirac(J{i},J{j})=-eps*J",
-                dirac_bracket(js[i], js[j], cs) - reduce_on_shell(expected),
+                dirac(f"J{i}", f"J{j}") - reduce_on_shell(expected),
             )
 
     # Casimir centrality: {x.x, f}_M = 0 and {x.J, f}_M = 0 for every generator
-    xx = sum((coord(i) * coord_lower(i) for i in range(1, 4)), PhaseExpr.const(0))
-    xj = sum((coord(i) * angular_j_lower(i) for i in range(1, 4)), PhaseExpr.const(0))
-    generators = [(f"x{i}", xs[i]) for i in range(1, 4)] + [
-        (f"J{i}", js[i]) for i in range(1, 4)
-    ]
-    for gname, g in generators:
-        add(f"dirac(x.x,{gname})=0", dirac_bracket(xx, g, cs))
-        add(f"dirac(x.J,{gname})=0", dirac_bracket(xj, g, cs))
+    for g in [f"x{i}" for i in range(1, 4)] + [f"J{i}" for i in range(1, 4)]:
+        add(f"dirac(x.x,{g})=0", dirac("x.x", g))
+        add(f"dirac(x.J,{g})=0", dirac("x.J", g))
 
     # momentum recovery p_i = eps_{ijk} x^j J^k / a^2 on-shell
     for i in range(1, 4):
@@ -501,7 +478,7 @@ def verify_iso12(cs: ConstraintSet | None = None, flip_epsilon_sign: bool = Fals
             for k in range(1, 4):
                 s = eps_lower(i, j, k, flip_sign=flip)
                 if s:
-                    rec = rec + PhaseExpr.const(s) * xs[j] * js[k]
+                    rec = rec + PhaseExpr.const(s) * operands[f"x{j}"] * operands[f"J{k}"]
         rec = rec / a2
         add(f"p{i}=eps*x*J/a^2", reduce_on_shell(rec - momentum(i)))
 

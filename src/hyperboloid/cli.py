@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import brackets, classical
-from .brackets import angular_j, coord, dirac_bracket, momentum, reduce_on_shell
+from .brackets import reduce_on_shell
 from .config import ConfigError, RunConfig
 from .conical import ConicalError, normalization
 from .expr import parse_expr
@@ -74,6 +74,18 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _bind_list_values(argv: list) -> list:
+    # argparse reads a value such as -1,0,0 as a flag; bind it as --p0=-1,0,0
+    out = []
+    for tok in argv:
+        if (out and out[-1] in ("--x0", "--p0", "--lam", "--n")
+                and tok[:1] == "-" and "," in tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {k: getattr(args, k, None)
@@ -97,9 +109,12 @@ def _parse_triple(text: str, what: str) -> np.ndarray:
     if len(parts) != 3:
         raise UsageError(f"{what} must be three comma-separated numbers, got {text!r}")
     try:
-        return np.array([float(v) for v in parts])
+        vals = np.array([float(v) for v in parts])
     except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}") from None
+    if not np.all(np.isfinite(vals)):
+        raise UsageError(f"{what} entries must be finite, got {text!r}")
+    return vals
 
 
 # -- derive -------------------------------------------------------------
@@ -108,28 +123,21 @@ def _parse_triple(text: str, what: str) -> np.ndarray:
 def build_derive_report() -> dict:
     cs = brackets.constraint_chain()
     bm = brackets.bracket_matrix(cs)
-    table = {}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            table[f"x{i},x{j}"] = str(dirac_bracket(coord(i), coord(j), cs))
-            table[f"x{i},p{j}"] = str(dirac_bracket(coord(i), momentum(j), cs))
-            table[f"p{i},p{j}"] = str(dirac_bracket(momentum(i), momentum(j), cs))
-            table[f"J{i},x{j}"] = str(dirac_bracket(angular_j(i), coord(j), cs))
-            table[f"J{i},J{j}"] = str(dirac_bracket(angular_j(i), angular_j(j), cs))
+    iso = brackets.verify_iso12(bm)
+    table = {k: str(v) for k, v in iso.table.items()}
     xx = reduce_on_shell(parse_expr("x^2 + y^2 - z^2"))
     xj = reduce_on_shell(sum(
-        (coord(i) * brackets.angular_j_lower(i) for i in range(1, 4)),
+        (brackets.coord(i) * brackets.angular_j_lower(i) for i in range(1, 4)),
         parse_expr("0")))
     casimirs = {"x.x": str(xx), "x.J": str(xj)}
     for i in range(1, 4):
-        casimirs[f"{{x.x, J{i}}}"] = str(dirac_bracket(xx, angular_j(i), cs))
-        casimirs[f"{{x.J, J{i}}}"] = str(dirac_bracket(xj, angular_j(i), cs))
-    iso = brackets.verify_iso12(cs)
+        casimirs[f"{{x.x, J{i}}}"] = table[f"x.x,J{i}"]
+        casimirs[f"{{x.J, J{i}}}"] = table[f"x.J,J{i}"]
     return {
         "constraints": [str(c) for c in cs],
         "M": [[str(bm.entry(i, j)) for j in range(4)] for i in range(4)],
         "M_inv": [[str(bm.inv_entry(i, j)) for j in range(4)] for i in range(4)],
-        "dirac_table": dict(sorted(table.items())),
+        "dirac_table": {k: table[k] for k in sorted(table) if "." not in k},
         "casimirs": casimirs,
         "identities_checked": len(iso.checks),
         "identities_failed": [c.name for c in iso.failures()],
@@ -165,7 +173,7 @@ def cmd_derive(args, cfg: RunConfig) -> int:
         _emit(json.dumps(rep, indent=2) + "\n", cfg.out)
     else:
         _emit(_derive_text(rep), cfg.out)
-    return EXIT_TOLERANCE if rep["identities_failed"] else EXIT_OK
+    return EXIT_VERIFY_FAIL if rep["identities_failed"] else EXIT_OK
 
 
 # -- simulate -----------------------------------------------------------
@@ -211,9 +219,12 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 def _parse_list(text: str, cast, what: str):
     try:
-        return [cast(v) for v in text.split(",") if v != ""]
+        vals = [cast(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise UsageError(f"{what} entries must be finite, got {text!r}")
+    return vals
 
 
 def cmd_spectrum(args, cfg: RunConfig) -> int:
@@ -274,7 +285,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _bind_list_values(sys.argv[1:] if argv is None else argv))
         cfg = _load_config(args)
         handler = {
             "derive": cmd_derive,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -36,10 +37,11 @@ class RunConfig:
     def __post_init__(self):
         for name in ("a", "m", "hbar", "dt", "T", "theta_min", "h",
                      "tol_constraint", "tol_drift", "tol_eigen"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.theta_max <= self.theta_min:
-            raise ConfigError("theta_max must exceed theta_min")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.theta_max) and self.theta_max > self.theta_min):
+            raise ConfigError("theta_max must be finite and exceed theta_min")
         # spectral phi differentiation wants a power-of-two FFT length
         if self.n_phi < 4 or self.n_phi & (self.n_phi - 1):
             raise ConfigError(f"n_phi must be a power of two >= 4, got {self.n_phi}")

@@ -121,11 +121,14 @@ def _conical_pn_series(lam: float, n: int, theta: float) -> float:
     return pre * total
 
 
-@lru_cache(maxsize=32)
 def _leggauss(n: int):
-    # node tables are expensive to build; quantize the order so sweeps
-    # over theta reuse a handful of tables
-    n = 32 * ((n + 31) // 32)
+    # node tables are expensive to build; quantize the order before the
+    # cache lookup so sweeps over theta reuse a handful of tables
+    return _leggauss_table(32 * ((n + 31) // 32))
+
+
+@lru_cache(maxsize=32)
+def _leggauss_table(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 

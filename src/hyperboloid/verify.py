@@ -136,7 +136,7 @@ def checks_phase_algebra(flip_epsilon_sign: bool = False) -> list:
                            0, bad_id, bad_id == 0,
                            "rational-function identity, no on-shell reduction needed"))
 
-    iso = brackets.verify_iso12(cs, flip_epsilon_sign=flip_epsilon_sign)
+    iso = brackets.verify_iso12(bm, flip_epsilon_sign=flip_epsilon_sign)
     fails = iso.failures()
     detail = "; ".join(c.name for c in fails[:6]) if fails else (
         f"{len(iso.checks)} bracket identities")

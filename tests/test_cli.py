@@ -1,15 +1,19 @@
 """CLI contract: subcommands, exit codes, output formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from hyperboloid import brackets
 from hyperboloid.cli import (
     EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, EXIT_VERIFY_FAIL, main,
 )
 from hyperboloid.expr import parse_expr
 
 FAST = ["--grid-h", "0.01", "--T", "2", "--dt", "0.001"]
+# reference output of derive --format json, pinned byte for byte
+DERIVE_JSON = Path(__file__).with_name("derive_expected.json")
 
 
 def run(capsys, *argv):
@@ -28,6 +32,16 @@ def test_derive_json(capsys):
     assert rep["M"][1][2] == "2*a^2"
     assert rep["dirac_table"]["x1,x2"] == "0"
     assert rep["identities_failed"] == []
+    assert out == DERIVE_JSON.read_text()
+
+
+def test_derive_failed_identity_exits_1(capsys, monkeypatch):
+    verify_iso12 = brackets.verify_iso12
+    monkeypatch.setattr(brackets, "verify_iso12",
+                        lambda bm: verify_iso12(bm, flip_epsilon_sign=True))
+    code, out, _ = run(capsys, "derive", "--format", "json")
+    assert code == EXIT_VERIFY_FAIL
+    assert json.loads(out)["identities_failed"]
 
 
 def test_derive_text_json_same_content(capsys):
@@ -50,13 +64,14 @@ def test_derive_text_json_same_content(capsys):
 
 def test_simulate_apex(tmp_path, capsys):
     out = tmp_path / "traj.csv"
-    code, _, err = run(capsys, "simulate", *FAST, "--p0", "1,0,0",
-                       "--out", str(out))
-    assert code == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("t,x,y,z,p_x")
-    assert len(lines) == 2002   # header + samples for T=2, dt=1e-3
-    assert "max constraint residual" in err
+    for p0 in ("1,0,0", "-1,0,0"):
+        code, _, err = run(capsys, "simulate", *FAST, "--p0", p0,
+                           "--out", str(out))
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("t,x,y,z,p_x")
+        assert len(lines) == 2002   # header + samples for T=2, dt=1e-3
+        assert "max constraint residual" in err
 
 
 def test_simulate_rest(capsys):
@@ -68,9 +83,11 @@ def test_simulate_rest(capsys):
 
 
 def test_simulate_bad_dt_usage_error(capsys):
-    code, _, err = run(capsys, "simulate", "--dt", "-0.001")
-    assert code == EXIT_USAGE
-    assert "error" in err
+    for argv in (["simulate", "--dt", "-0.001"], ["simulate", "--dt", "nan"],
+                 ["simulate", "--T", "inf"], ["spectrum", "--lam", "nan"]):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "error" in err
 
 
 def test_simulate_bad_p0(capsys):
@@ -82,14 +99,15 @@ def test_simulate_bad_p0(capsys):
 
 
 def test_spectrum_energies(capsys):
-    code, out, _ = run(capsys, "spectrum", "--grid-h", "0.002",
-                       "--lam", "1", "--n", "0")
-    assert code == EXIT_OK
-    lines = out.splitlines()
-    assert lines[0] == "lambda,n,theta,psi_real,psi_imag,eigen_residual,E"
-    row = lines[1].split(",")
-    assert float(row[6]) == pytest.approx(0.625)       # E = (1 + 1/4)/2
-    assert float(row[5]) < 1e-4
+    for ns in ("0", "-1,0"):
+        code, out, _ = run(capsys, "spectrum", "--grid-h", "0.002",
+                           "--lam", "1", "--n", ns)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "lambda,n,theta,psi_real,psi_imag,eigen_residual,E"
+        row = lines[1].split(",")
+        assert float(row[6]) == pytest.approx(0.625)       # E = (1 + 1/4)/2
+        assert float(row[5]) < 1e-4
 
 
 def test_spectrum_lam_zero_warns(capsys):
