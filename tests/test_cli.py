@@ -14,6 +14,8 @@ from hyperboloid.expr import parse_expr
 FAST = ["--grid-h", "0.01", "--T", "2", "--dt", "0.001"]
 # reference output of derive --format json, pinned byte for byte
 DERIVE_JSON = Path(__file__).with_name("derive_expected.json")
+# reference output of spectrum --lam=0.5,1,2 --n=-2,0,1,3
+SPECTRUM_CSV = Path(__file__).with_name("spectrum_expected.csv")
 
 
 def run(capsys, *argv):
@@ -108,6 +110,26 @@ def test_spectrum_energies(capsys):
         row = lines[1].split(",")
         assert float(row[6]) == pytest.approx(0.625)       # E = (1 + 1/4)/2
         assert float(row[5]) < 1e-4
+
+
+def test_spectrum_matches_pinned_output(tmp_path, capsys):
+    out = tmp_path / "spectrum.csv"
+    code, _, _ = run(capsys, "spectrum", "--lam=0.5,1,2", "--n=-2,0,1,3",
+                     "--out", str(out))
+    assert code == EXIT_OK
+    got, want = (p.read_text().splitlines() for p in (out, SPECTRUM_CSV))
+    assert got[0] == want[0]
+    got, want = ([line.split(",") for line in lines[1:]] for lines in (got, want))
+    # lambda, n, theta and E exactly, row for row
+    assert [r[:3] + r[6:] for r in got] == [r[:3] + r[6:] for r in want]
+    scale = {}
+    for r in want:
+        key = (r[0], r[1])
+        scale[key] = max(scale.get(key, 0.0), abs(complex(float(r[3]), float(r[4]))))
+    for g, w in zip(got, want):
+        dpsi = complex(float(g[3]), float(g[4])) - complex(float(w[3]), float(w[4]))
+        assert abs(dpsi) <= 1e-12 * scale[(w[0], w[1])]
+        assert abs(float(g[5]) - float(w[5])) <= 1e-9
 
 
 def test_spectrum_lam_zero_warns(capsys):
