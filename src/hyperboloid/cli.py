@@ -17,9 +17,9 @@ import numpy as np
 from . import brackets, classical
 from .brackets import reduce_on_shell
 from .config import ConfigError, RunConfig
-from .conical import ConicalError, normalization
+from .conical import ConicalError
 from .expr import parse_expr
-from .grid import Grid, GridError, SpectralMode, eigen_residual, sample_mode
+from .grid import Grid, GridError, SpectralMode, eigen_residual, sample_modes
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -182,6 +182,8 @@ def cmd_derive(args, cfg: RunConfig) -> int:
 def cmd_simulate(args, cfg: RunConfig) -> int:
     x0 = (_parse_triple(args.x0, "--x0") if args.x0
           else np.array([0.0, 0.0, cfg.a]))
+    if x0[2] < 0:
+        raise UsageError(f"--x0 must lie on the upper sheet (z >= 0), got {args.x0!r}")
     p0 = _parse_triple(args.p0, "--p0")
     xp, pp = classical.project_embedded(x0, p0, cfg.a)
     adjust = max(float(np.max(np.abs(xp - x0))), float(np.max(np.abs(pp - p0))))
@@ -222,6 +224,8 @@ def _parse_list(text: str, cast, what: str):
         vals = [cast(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}") from None
+    if not vals:
+        raise UsageError(f"{what} must list at least one value")
     if not all(math.isfinite(v) for v in vals):
         raise UsageError(f"{what} entries must be finite, got {text!r}")
     return vals
@@ -236,14 +240,13 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
     stride = max(1, (grid.n_theta - 1) // 24)
     rows = []
     for lam in lams:
-        for n in ns:
+        for n, psi in zip(ns, sample_modes(grid, lam, ns, normalized=lam > 0)):
             if lam == 0:
                 sys.stderr.write(
                     f"warning: normalization diverges at lambda = 0, "
                     f"emitting unnormalized samples for n = {n}\n")
             mode = SpectralMode(lam, n, normalized=lam > 0)
-            psi = sample_mode(grid, mode)
-            res = eigen_residual(grid, mode, cfg.a, cfg.m, cfg.hbar)
+            res = eigen_residual(grid, mode, cfg.a, cfg.m, cfg.hbar, psi=psi)
             e = mode.energy(cfg.m, cfg.a, cfg.hbar)
             for k in range(0, grid.n_theta, stride):
                 rows.append((lam, n, grid.theta[k], psi[k, 0].real,
@@ -253,7 +256,7 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
         ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
         for row in rows) + "\n"
     _emit(text, cfg.out)
-    worst = max(row[5] for row in rows) if rows else 0.0
+    worst = max(row[5] for row in rows)
     return EXIT_TOLERANCE if worst > cfg.tol_eigen else EXIT_OK
 
 

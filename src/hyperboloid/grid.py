@@ -20,7 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conical import complex_gamma, conical_pn, energy, normalization
+from .conical import (
+    N_MAX_DEFAULT, ConicalError, complex_gamma, energy, normalization,
+    profile_row, radial_profiles,
+)
 
 
 class GridError(Exception):
@@ -213,20 +216,38 @@ class SpectralMode:
         return energy(self.lam, m, a, hbar)
 
 
+def sample_modes(grid: Grid, lam: float, ns, normalized: bool = True):
+    """Yield psi^n_lam for each n in ns from one radial_profiles pass.
+
+    The profiles of every order up to max|n| come from a single call; each
+    psi is built from its row only when the caller asks for the next one.
+    """
+    ns = list(ns)
+    for n in ns:
+        if abs(n) >= grid.n_phi // 2:
+            raise GridError(f"|n| = {abs(n)} unresolvable at n_phi = {grid.n_phi}")
+        if abs(n) > N_MAX_DEFAULT:
+            raise ConicalError(f"|n| = {abs(n)} exceeds n_max = {N_MAX_DEFAULT}")
+    profiles = radial_profiles(lam, max(abs(n) for n in ns), grid.theta)
+    for n in ns:
+        f = profile_row(profiles, lam, n)[:, None] * np.exp(1j * n * grid.phi)[None, :]
+        if normalized and lam > 0:
+            f *= normalization(lam, n)
+        yield f
+
+
 def sample_mode(grid: Grid, mode: SpectralMode) -> np.ndarray:
-    if abs(mode.n) >= grid.n_phi // 2:
-        raise GridError(f"|n| = {abs(mode.n)} unresolvable at n_phi = {grid.n_phi}")
-    radial = np.array([conical_pn(mode.lam, mode.n, t) for t in grid.theta])
-    f = radial[:, None] * np.exp(1j * mode.n * grid.phi)[None, :]
-    if mode.normalized and mode.lam > 0:
-        f = normalization(mode.lam, mode.n) * f
-    return f
+    return next(sample_modes(grid, mode.lam, [mode.n], mode.normalized))
 
 
 def eigen_residual(grid: Grid, mode: SpectralMode, a: float = 1.0,
-                   m: float = 1.0, hbar: float = 1.0) -> float:
-    """||H psi - E psi|| / ||psi|| over interior nodes."""
-    psi = sample_mode(grid, mode)
+                   m: float = 1.0, hbar: float = 1.0, psi=None) -> float:
+    """||H psi - E psi|| / ||psi|| over interior nodes.
+
+    psi is the mode as sample_mode gives it; it is sampled when omitted.
+    """
+    if psi is None:
+        psi = sample_mode(grid, mode)
     r = laplace_beltrami(grid, psi, a, m, hbar) - mode.energy(m, a, hbar) * psi
     ri, pi = interior(grid, r), interior(grid, psi)
     igrid = Grid(grid.theta_min + grid.h, grid.theta_max - grid.h,

@@ -15,12 +15,12 @@ import numpy as np
 
 from . import brackets, classical, geometry
 from .config import RunConfig
-from .conical import conical_p0, conical_p0_oracle, conical_pn, conical_pn_oracle
+from .conical import conical_p0_oracle, conical_pn_oracle, profile_row, radial_profiles
 from .expr import parse_expr
 from .grid import (
     Grid, SpectralMode, apply_h_via_j, apply_j, apply_p, bump, casimir_xj,
     eigen_residual, gamma_identity_error, inner_product, interior,
-    laplace_beltrami, mode_overlap, norm,
+    laplace_beltrami, mode_overlap, norm, sample_modes,
 )
 
 MODULES = ("phase_algebra", "geometry", "classical_sim", "spectral")
@@ -324,34 +324,38 @@ def checks_spectral(cfg: RunConfig, drop_hermitian_term: bool = False) -> list:
                            worst <= 1e-10, "|Gamma(1/2+i lam)|^2 = pi/cosh(pi lam)"))
 
     worst = 0.0
+    thetas = (0.3, 0.7, 1.1, 1.6, 2.5)
     for lam in (0.25, 0.5, 1.0, 2.0, 4.0):
-        for th in (0.3, 0.7, 1.1, 1.6, 2.5):
+        p0 = radial_profiles(lam, 0, thetas)[0]
+        for th, val in zip(thetas, p0):
             ref = conical_p0_oracle(lam, th)
-            worst = max(worst, abs(conical_p0(lam, th) - ref) / abs(ref))
+            worst = max(worst, abs(val - ref) / abs(ref))
     out.append(CheckResult("spectral", "conical_p0_vs_oracle", 1e-10, worst,
                            worst <= 1e-10, "5x5 (lam, theta) grid"))
 
     worst = 0.0
+    thetas = (0.5, 1.0, 2.0)
     for lam in (0.5, 1.0, 2.0):
-        for th in (0.5, 1.0, 2.0):
-            for n in range(-5, 6):
+        profiles = radial_profiles(lam, 5, thetas)
+        for n in range(-5, 6):
+            for th, val in zip(thetas, profile_row(profiles, lam, n)):
                 ref = conical_pn_oracle(lam, n, th)
-                worst = max(worst, abs(conical_pn(lam, n, th) - ref) / abs(ref))
+                worst = max(worst, abs(val - ref) / abs(ref))
     out.append(CheckResult("spectral", "conical_recurrence_vs_oracle", 1e-8,
                            worst, worst <= 1e-8, "n in [-5, 5]"))
 
     g = Grid(cfg.theta_min, cfg.theta_max, cfg.n_theta, cfg.n_phi)
     g2 = Grid(cfg.theta_min, cfg.theta_max, (cfg.n_theta - 1) // 2 + 1, cfg.n_phi)
 
-    worst = 0.0
-    for lam in (0.5, 1.0, 2.0):
-        for n in (0, 1, 2):
-            worst = max(worst, eigen_residual(g, SpectralMode(lam, n), a, m, hbar))
+    residual = {(lam, n): eigen_residual(g, SpectralMode(lam, n), a, m, hbar, psi=psi)
+                for lam in (0.5, 1.0, 2.0)
+                for n, psi in zip((0, 1, 2), sample_modes(g, lam, (0, 1, 2)))}
+    worst = max(residual.values())
     out.append(CheckResult("spectral", "eigen_residual", cfg.tol_eigen, worst,
                            worst <= cfg.tol_eigen,
                            f"(lam, n) grid at h={g.h:.1e}"))
 
-    r_f = eigen_residual(g, SpectralMode(1.0, 1), a, m, hbar)
+    r_f = residual[1.0, 1]
     r_c = eigen_residual(g2, SpectralMode(1.0, 1), a, m, hbar)
     p_order = math.log2(r_c / r_f)
     out.append(CheckResult("spectral", "eigen_residual_order", 0.2,

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, output formats."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -86,7 +87,9 @@ def test_simulate_rest(capsys):
 
 def test_simulate_bad_dt_usage_error(capsys):
     for argv in (["simulate", "--dt", "-0.001"], ["simulate", "--dt", "nan"],
-                 ["simulate", "--T", "inf"], ["spectrum", "--lam", "nan"]):
+                 ["simulate", "--T", "inf"], ["spectrum", "--lam", "nan"],
+                 ["spectrum", "--n", ""], ["spectrum", "--lam", ""],
+                 ["simulate", "--x0", "0,0,-1"]):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert "error" in err
@@ -144,6 +147,15 @@ def test_spectrum_coarse_grid_exceeds_tolerance(capsys):
     code, _, _ = run(capsys, "spectrum", "--grid-h", "0.1",
                      "--lam", "2", "--n", "0")
     assert code == EXIT_TOLERANCE
+
+
+def test_spectrum_beyond_gauss_order_cap_exits_2(capsys):
+    # lam * theta = 1500 would need a 36,064-node Gauss table
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "spectrum", "--lam", "500", "--n", "1")
+    assert code == EXIT_TOLERANCE
+    assert "Gauss-Legendre order" in err
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_spectrum_negative_lam_usage(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from hyperboloid.conical import (
     ConicalError, complex_gamma, conical_p0, conical_p0_oracle, conical_pn,
-    conical_pn_oracle, energy, normalization,
+    conical_pn_oracle, energy, normalization, radial_profiles,
 )
 
 
@@ -107,9 +107,27 @@ def test_pn_errors():
         conical_pn(1.0, 13, 0.5)       # beyond n_max
     with pytest.raises(ConicalError):
         conical_pn(1.0, 2, 0.0)        # nonzero order needs theta > 0
+    with pytest.raises(ConicalError):
+        conical_pn(15.0, 1, 3.0)       # 40 + 24 lam theta nodes > GAUSS_ORDER_MAX
     # raising the cap admits higher orders (oracle is unreliable there:
     # the Laplace integral cancels to ~1e-19 of its integrand at n=13)
     assert math.isfinite(conical_pn(1.0, 13, 0.5, n_max=13))
+
+
+def test_radial_profiles_match_oracle():
+    # theta on both sides of the series / quadrature switch at 1.2
+    thetas = (0.2, 0.7, 1.1, 1.3, 2.0, 2.5)
+    worst = 0.0
+    for lam in (0.25, 1.0, 2.2):
+        profiles = radial_profiles(lam, 5, thetas)
+        assert profiles.shape == (6, len(thetas))
+        for n in range(6):
+            for theta, val in zip(thetas, profiles[n]):
+                ref = conical_pn_oracle(lam, n, theta)
+                worst = max(worst, abs(val - ref) / max(abs(ref), 1e-6))
+        # row n does not depend on how many orders are computed
+        assert np.array_equal(radial_profiles(lam, 2, thetas), profiles[:3])
+    assert worst < 1e-8
 
 
 # -- normalization ------------------------------------------------------
@@ -120,6 +138,18 @@ def test_normalization_ratio_modulus():
     for lam in (0.5, 1.0, 2.0, 7.0):
         r = abs(normalization(lam, 0)) / abs(normalization(lam, 1))
         assert r == pytest.approx(math.sqrt(0.25 + lam * lam), rel=1e-12)
+
+
+def test_normalization_finite_at_large_lam():
+    # Gamma(1/2 + i lam) underflows at lam = 500; the Pochhammer product does not
+    lam = 500.0
+    pre = math.sqrt(2 * math.pi / (lam * math.tanh(math.pi * lam)))
+    expected = {2: pre / (complex(0.5, lam) * complex(1.5, lam)),
+                -2: pre * complex(-0.5, lam) * complex(-1.5, lam)}
+    for n, ref in expected.items():
+        val = normalization(lam, n)
+        assert math.isfinite(val.real) and math.isfinite(val.imag)
+        assert abs(val - ref) <= 1e-14 * abs(ref)
 
 
 def test_normalization_diverges_at_zero():
