@@ -17,6 +17,8 @@ FAST = ["--grid-h", "0.01", "--T", "2", "--dt", "0.001"]
 DERIVE_JSON = Path(__file__).with_name("derive_expected.json")
 # reference output of spectrum --lam=0.5,1,2 --n=-2,0,1,3
 SPECTRUM_CSV = Path(__file__).with_name("spectrum_expected.csv")
+# reference output of simulate --T 10 --dt 0.05 from an off-shell start
+SIMULATE_CSV = Path(__file__).with_name("simulate_expected.csv")
 
 
 def run(capsys, *argv):
@@ -83,6 +85,25 @@ def test_simulate_rest(capsys):
     rows = out.splitlines()[1:]
     first, last = rows[0].split(","), rows[-1].split(",")
     assert first[1:4] == last[1:4]    # x, y, z constant
+
+
+def test_simulate_matches_pinned_output(tmp_path, capsys):
+    # the start is off-shell, so the initial projection runs too
+    out = tmp_path / "traj.csv"
+    code, _, _ = run(capsys, "simulate", "--T", "10", "--dt", "0.05",
+                     "--x0=0.3,0.2,1.0630145812734648", "--p0=0.5,0.1,0.16",
+                     "--out", str(out))
+    assert code == EXIT_OK
+    got, want = (p.read_text().splitlines() for p in (out, SIMULATE_CSV))
+    assert got[0] == want[0]
+    got, want = ([[float(v) for v in line.split(",")] for line in lines[1:]]
+                 for lines in (got, want))
+    assert len(got) == len(want) == 201
+    assert [r[0] for r in got] == [r[0] for r in want]
+    # the state is long double, whose width varies by platform
+    for col in range(1, len(want[0])):
+        scale = max(abs(r[col]) for r in want)
+        assert max(abs(g[col] - w[col]) for g, w in zip(got, want)) <= 1e-12 * scale
 
 
 def test_simulate_bad_dt_usage_error(capsys):
