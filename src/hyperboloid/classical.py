@@ -10,7 +10,10 @@ exact oracle for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
+from functools import partial
+from os import PathLike
 
 import numpy as np
 
@@ -27,13 +30,6 @@ class EmbeddedState:
     x: np.ndarray
     p: np.ndarray
     t: float = 0.0
-
-    def constraint_residuals(self, a: float):
-        """(|x.x + a^2|, |x^i p_i|); p carries lower indices already."""
-        return (
-            abs(inner(self.x, self.x) + a * a),
-            abs(float(np.dot(self.x, self.p))),
-        )
 
 
 @dataclass
@@ -66,32 +62,50 @@ class TrajectoryRecord:
         "H", "J1", "J2", "J3", "C2_residual", "C3_residual",
     )
 
-    def rows(self):
-        for k in range(len(self.t)):
-            yield (
-                self.t[k], *self.x[k], *self.p[k], self.theta[k], self.phi[k],
-                self.H[k], *self.J[k], self.c2_residual[k], self.c3_residual[k],
-            )
+    def drift(self, a: float) -> dict:
+        """Worst constraint residual (x.x + a^2 relative to a^2) and the
+        largest H and J drifts relative to the first sample."""
+        h0, j0 = self.H[0], self.J[0]
+        h_span = float(np.max(np.abs(self.H - h0)))
+        j_span = float(np.max(np.abs(self.J - j0)))
+        return {
+            "max_constraint_residual": max(
+                float(np.max(self.c2_residual)) / (a * a),
+                float(np.max(self.c3_residual))),
+            "max_H_drift": float(h_span / abs(h0)) if h0 else 0.0,
+            "max_J_drift": j_span / max(float(np.max(np.abs(j0))), 1e-30),
+        }
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
+    def write_csv(self, out):
+        """Write the samples to a path or an open text stream, row by row."""
+        table = np.column_stack([
+            np.asarray(c, dtype=float) for c in (
+                self.t, self.x, self.p, self.theta, self.phi, self.H, self.J,
+                self.c2_residual, self.c3_residual)])
+        to_path = isinstance(out, (str, PathLike))
+        with open(out, "w") if to_path else nullcontext(out) as fh:
             fh.write(",".join(self.CSV_COLUMNS) + "\n")
-            for row in self.rows():
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in table:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def hamiltonian(p, m: float) -> float:
-    """H = (p_x^2 + p_y^2 - p_z^2) / 2m with lower-index momenta."""
-    return (p[0] ** 2 + p[1] ** 2 - p[2] ** 2) / (2 * m)
+def hamiltonian(p, m: float):
+    """H = (p_x^2 + p_y^2 - p_z^2) / 2m with lower-index momenta.
+
+    p may be one state or a stack of them along the leading axes.
+    """
+    p = np.asarray(p)
+    return (p[..., 0] ** 2 + p[..., 1] ** 2 - p[..., 2] ** 2) / (2 * m)
 
 
 def angular_momenta(x, p) -> np.ndarray:
     """J^i = -eps^{ijk} x_j p_k (eps_123 = 1 = -eps^123), lower-index p."""
-    return np.array([
-        x[1] * p[2] + x[2] * p[1],
-        -x[2] * p[0] - x[0] * p[2],
-        x[0] * p[1] - x[1] * p[0],
-    ])
+    x, p = np.asarray(x), np.asarray(p)
+    return np.stack([
+        x[..., 1] * p[..., 2] + x[..., 2] * p[..., 1],
+        -x[..., 2] * p[..., 0] - x[..., 0] * p[..., 2],
+        x[..., 0] * p[..., 1] - x[..., 1] * p[..., 0],
+    ], axis=-1)
 
 
 def hamiltonian_from_j(j, m: float, a: float) -> float:
@@ -99,18 +113,21 @@ def hamiltonian_from_j(j, m: float, a: float) -> float:
     return (j[0] ** 2 + j[1] ** 2 - j[2] ** 2) / (2 * m * a * a)
 
 
-def eom_embedded(s: EmbeddedState, m: float, a: float):
-    """(xdot, pdot): xdot = p^i/m, pdot = (p.p/(m a^2)) x.
+def eom_embedded(y, m: float, a: float, psq=None) -> np.ndarray:
+    """d/dt of the state y = (x, p): xdot = p^i/m, pdot = (p.p/(m a^2)) x.
 
     p is stored with lower indices, so p^i = g^{ij} p_j flips the z
     component; the force is parallel to x (pure constraint force).
+    psq, if given, replaces p.p evaluated from the state: p.p is
+    conserved, and evaluating it from components that grow like cosh(t)
+    cancels catastrophically.
     """
-    p_upper = geometry.lower(s.p)  # metric is its own inverse
-    psq = inner(s.p, s.p)  # p^i p_i, computed with one raised index
-    # note inner() lowers one slot, so inner(p_lower, p_lower) = p^i p_i
-    xdot = p_upper / m
-    pdot = psq / (m * a * a) * geometry.lower(s.x)
-    return xdot, pdot
+    x, p = y[:3], y[3:]
+    if psq is None:
+        psq = inner(p, p)  # inner() lowers one slot: p^i p_i
+    # the metric is its own inverse, so lower() also raises
+    return np.concatenate((geometry.lower(p) / m,
+                           psq / (m * a * a) * geometry.lower(x)))
 
 
 def project_embedded(x, p, a: float, noise_guard: bool = False):
@@ -132,20 +149,13 @@ def project_embedded(x, p, a: float, noise_guard: bool = False):
     return x, p
 
 
-def _rk4_step(x, p, dt, m, a, psq=None):
-    # psq: conserved value of p.p; evaluating it from the state is
-    # catastrophically cancelling once the components grow like cosh(t)
-    def f(xx, pp):
-        q = psq if psq is not None else inner(pp, pp)
-        return geometry.lower(pp) / m, q / (m * a * a) * geometry.lower(xx)
-
-    k1x, k1p = f(x, p)
-    k2x, k2p = f(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
-    k3x, k3p = f(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
-    k4x, k4p = f(x + dt * k3x, p + dt * k3p)
-    x2 = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    p2 = p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return x2, p2
+def _rk4_step(rhs, y, dt):
+    """One classical RK4 step of ydot = rhs(y) on a flat state vector."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def integrate_embedded(
@@ -170,44 +180,42 @@ def integrate_embedded(
     if tol_c is None:
         tol_c = 1e-8 * a * a
     n_steps = int(round(T / dt))
-    x = np.array(s0.x, dtype=np.longdouble)
-    p = np.array(s0.p, dtype=np.longdouble)
-    psq = inner(p, p)  # p^i p_i at t = 0, conserved on-shell
-    ts, xs, ps = [], [], []
+    y = np.concatenate((s0.x, s0.p)).astype(np.longdouble)
+    # p^i p_i at t = 0, conserved on-shell
+    rhs = partial(eom_embedded, m=m, a=a,
+                  psq=inner(y[3:], y[3:]) if projection else None)
+    ts, ys = [], []
     drift_warning = False
-    pscale = max(np.abs(p).max(), 1.0)
+    pscale = max(np.abs(y[3:]).max(), 1.0)
     for k in range(n_steps + 1):
-        t = s0.t + k * dt
         if k % sample_every == 0 or k == n_steps:
-            ts.append(t)
-            xs.append(x.copy())
-            ps.append(p.copy())
-        c2 = abs(inner(x, x) + a * a)
-        c3 = abs(float(np.dot(x, p)))
-        if not projection and (c2 > 1e3 * tol_c or c3 > 1e3 * tol_c * pscale):
-            drift_warning = True
+            ts.append(s0.t + k * dt)
+            ys.append(y)
+        if not projection:
+            x, p = y[:3], y[3:]
+            if (abs(inner(x, x) + a * a) > 1e3 * tol_c
+                    or abs(float(np.dot(x, p))) > 1e3 * tol_c * pscale):
+                drift_warning = True
         if k == n_steps:
             break
-        x, p = _rk4_step(x, p, dt, m, a, psq=psq if projection else None)
+        y = _rk4_step(rhs, y, dt)
         if projection:
-            x, p = project_embedded(x, p, a, noise_guard=True)
-    return _make_record(np.array(ts), np.array(xs), np.array(ps), m, a, drift_warning)
+            y = np.concatenate(project_embedded(y[:3], y[3:], a, noise_guard=True))
+    ys = np.array(ys)
+    return _make_record(np.array(ts), ys[:, :3], ys[:, 3:], m, a, drift_warning)
 
 
 def _make_record(ts, xs, ps, m, a, drift_warning=False, chart_exit=False):
-    n = len(ts)
-    H = np.array([hamiltonian(ps[k], m) for k in range(n)])
-    J = np.array([angular_momenta(xs[k], ps[k]) for k in range(n)])
-    c2 = np.array([abs(inner(xs[k], xs[k]) + a * a) for k in range(n)])
-    c3 = np.array([abs(float(np.dot(xs[k], ps[k]))) for k in range(n)])
-    theta = np.array([math.acosh(max(xs[k][2] / a, 1.0)) for k in range(n)])
-    phi = np.array([
-        math.atan2(xs[k][1], xs[k][0]) % (2 * math.pi)
-        if math.hypot(xs[k][0], xs[k][1]) > 0 else 0.0
-        for k in range(n)
-    ])
+    """Diagnostics of every sample; p^i x_i is a plain dot (lower-index p)."""
+    c3 = xs[:, 0] * ps[:, 0] + xs[:, 1] * ps[:, 1] + xs[:, 2] * ps[:, 2]
+    # math.acosh/atan2 round differently from their numpy counterparts
+    theta = np.array([math.acosh(v) for v in
+                      np.maximum(xs[:, 2] / a, 1.0).astype(float).tolist()])
+    phi = np.array([math.atan2(y, x) % (2 * math.pi) if math.hypot(x, y) > 0
+                    else 0.0 for x, y in xs[:, :2].astype(float).tolist()])
     return TrajectoryRecord(
-        ts, xs, ps, theta, phi, H, J, c2, c3,
+        ts, xs, ps, theta, phi, hamiltonian(ps, m), angular_momenta(xs, ps),
+        np.abs(inner(xs, xs) + a * a), np.abs(c3.astype(float)),
         drift_warning=drift_warning, chart_exit=chart_exit,
     )
 
@@ -233,12 +241,11 @@ def closed_form_geodesic(s0: EmbeddedState, m: float, a: float, t) -> EmbeddedSt
     return EmbeddedState(x, p, s0.t + t)
 
 
-def eom_intrinsic(s: IntrinsicState):
-    """Geodesic equations in the chart."""
-    G = geometry.christoffel(ChartPoint(s.theta, s.phi))
-    v = np.array([s.theta_dot, s.phi_dot])
-    acc = -np.einsum("ijk,j,k->i", G, v, v)
-    return np.array([s.theta_dot, s.phi_dot, acc[0], acc[1]])
+def eom_intrinsic(y) -> np.ndarray:
+    """Geodesic equations in the chart, y = (theta, phi, theta_dot, phi_dot)."""
+    G = geometry.christoffel(ChartPoint(y[0], y[1]))
+    v = y[2:]
+    return np.concatenate((v, -np.einsum("ijk,j,k->i", G, v, v)))
 
 
 def integrate_intrinsic(
@@ -255,30 +262,19 @@ def integrate_intrinsic(
         raise SimulationError(f"dt must be positive, got {dt}")
     if s0.theta <= theta_min:
         raise SimulationError(f"theta0 must exceed theta_min = {theta_min}")
-
-    def f(y):
-        return eom_intrinsic(IntrinsicState(y[0], y[1], y[2], y[3]))
-
     n_steps = int(round(T / dt))
     y = np.array([s0.theta, s0.phi, s0.theta_dot, s0.phi_dot])
     ts, xs, ps = [], [], []
     chart_exit = False
     for k in range(n_steps + 1):
-        t = s0.t + k * dt
         if k % sample_every == 0 or k == n_steps:
-            ts.append(t)
-            x, p = intrinsic_to_embedded(
-                IntrinsicState(y[0], y[1], y[2], y[3]), m, a
-            )
+            ts.append(s0.t + k * dt)
+            x, p = intrinsic_to_embedded(IntrinsicState(*y), m, a)
             xs.append(x)
             ps.append(p)
         if k == n_steps:
             break
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = _rk4_step(eom_intrinsic, y, dt)
         if y[0] <= theta_min:
             chart_exit = True
             break

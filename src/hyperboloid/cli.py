@@ -190,30 +190,22 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     rec = classical.integrate_embedded(
         classical.EmbeddedState(xp, pp), cfg.m, cfg.a, cfg.dt, cfg.T,
         projection=cfg.projection, tol_c=cfg.tol_constraint * cfg.a * cfg.a)
-    if cfg.out:
-        rec.write_csv(cfg.out)
-    else:
-        sys.stdout.write(",".join(rec.CSV_COLUMNS) + "\n")
-        for row in rec.rows():
-            sys.stdout.write(",".join(repr(float(v)) for v in row) + "\n")
+    rec.write_csv(cfg.out or sys.stdout)
 
-    c_worst = max(float(np.max(rec.c2_residual)) / (cfg.a * cfg.a),
-                  float(np.max(rec.c3_residual)))
-    h_drift = (float(np.max(np.abs(rec.H - rec.H[0]))) / abs(rec.H[0])
-               if rec.H[0] else 0.0)
-    j_scale = max(float(np.max(np.abs(rec.J[0]))), 1e-30)
-    j_drift = float(np.max(np.abs(rec.J - rec.J[0]))) / j_scale
-    summary = (f"initial-state adjustment: {adjust:.3e}\n"
-               f"max constraint residual: {c_worst:.3e}\n"
-               f"max H drift: {h_drift:.3e}\n"
-               f"max J drift: {j_drift:.3e}\n")
-    sys.stderr.write(summary)
-    over = (c_worst > cfg.tol_constraint or h_drift > cfg.tol_drift
-            or j_drift > cfg.tol_drift)
-    if rec.drift_warning or (cfg.projection and over):
-        sys.stderr.write("tolerance exceeded\n")
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    drift = rec.drift(cfg.a)
+    over = (drift["max_constraint_residual"] > cfg.tol_constraint
+            or drift["max_H_drift"] > cfg.tol_drift
+            or drift["max_J_drift"] > cfg.tol_drift)
+    failed = rec.drift_warning or (cfg.projection and over)
+    if args.format == "json":
+        sys.stderr.write(json.dumps({"initial_state_adjustment": adjust, **drift,
+                                     "tolerance_exceeded": failed}) + "\n")
+    else:
+        sys.stderr.write(f"initial-state adjustment: {adjust:.3e}\n" + "".join(
+            f"{k.replace('_', ' ')}: {v:.3e}\n" for k, v in drift.items()))
+        if failed:
+            sys.stderr.write("tolerance exceeded\n")
+    return EXIT_TOLERANCE if failed else EXIT_OK
 
 
 # -- spectrum -----------------------------------------------------------
@@ -256,8 +248,9 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
         ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
         for row in rows) + "\n"
     _emit(text, cfg.out)
-    worst = max(row[5] for row in rows)
-    return EXIT_TOLERANCE if worst > cfg.tol_eigen else EXIT_OK
+    # a NaN residual fails too: it is not <= tol_eigen
+    passed = all(row[5] <= cfg.tol_eigen for row in rows)
+    return EXIT_OK if passed else EXIT_TOLERANCE
 
 
 # -- verify -------------------------------------------------------------

@@ -40,6 +40,10 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        # a T that is not a whole number of steps would be cut short or overshot
+        steps = round(self.T / self.dt)
+        if steps < 1 or abs(self.T / self.dt - steps) > 1e-9 * steps:
+            raise ConfigError(f"T = {self.T} is not a whole number of dt = {self.dt} steps")
         if not (math.isfinite(self.theta_max) and self.theta_max > self.theta_min):
             raise ConfigError("theta_max must be finite and exceed theta_min")
         # spectral phi differentiation wants a power-of-two FFT length

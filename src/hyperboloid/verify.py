@@ -247,9 +247,9 @@ def checks_classical(cfg: RunConfig) -> list:
                            abs(order - 4.0) <= 0.8,
                            f"halving ratio {e_coarse / max(e_fine, 1e-300):.1f}"))
 
-    h_drift = float(np.max(np.abs(rec.H - rec.H[0]))) / abs(rec.H[0])
-    j_scale = max(float(np.max(np.abs(rec.J[0]))), 1e-30)
-    j_drift = float(np.max(np.abs(rec.J - rec.J[0]))) / j_scale
+    drift = rec.drift(a)
+    h_drift, j_drift = drift["max_H_drift"], drift["max_J_drift"]
+    c_worst = drift["max_constraint_residual"]
     # J.J = a^2 p.p is exact on-shell only; test it on states that are
     # on-shell to machine precision (trajectory samples carry the
     # projection noise floor, which enters this identity linearly)
@@ -263,8 +263,6 @@ def checks_classical(cfg: RunConfig) -> list:
         hd = classical.hamiltonian(pr, m)
         hjv = classical.hamiltonian_from_j(classical.angular_momenta(xr, pr), m, a)
         hj_err = max(hj_err, abs(hjv - hd) / max(abs(hd), 1e-30))
-    c_worst = max(float(np.max(rec.c2_residual)) / (a * a),
-                  float(np.max(rec.c3_residual)))
     out.append(CheckResult("classical_sim", "conservation_H", cfg.tol_drift,
                            h_drift, h_drift <= cfg.tol_drift))
     out.append(CheckResult("classical_sim", "conservation_J", cfg.tol_drift,

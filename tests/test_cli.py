@@ -4,6 +4,7 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hyperboloid import brackets
@@ -110,10 +111,41 @@ def test_simulate_bad_dt_usage_error(capsys):
     for argv in (["simulate", "--dt", "-0.001"], ["simulate", "--dt", "nan"],
                  ["simulate", "--T", "inf"], ["spectrum", "--lam", "nan"],
                  ["spectrum", "--n", ""], ["spectrum", "--lam", ""],
-                 ["simulate", "--x0", "0,0,-1"]):
+                 ["simulate", "--x0", "0,0,-1"],
+                 # T must be a whole number of dt steps
+                 ["simulate", "--T", "1", "--dt", "0.3"],
+                 ["simulate", "--T", "1", "--dt", "0.6"],
+                 ["simulate", "--T", "1", "--dt", "3"]):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert "error" in err
+
+
+def test_simulate_json_drift_summary(capsys):
+    argv = ["simulate", "--T", "10", "--dt", "0.05",
+            "--x0=0.3,0.2,1.0630145812734648", "--p0=0.5,0.1,0.16"]
+    code, out_t, err_t = run(capsys, *argv)
+    assert code == EXIT_OK
+    code, out_j, err_j = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    assert out_j == out_t                 # the CSV does not change
+    summary = json.loads(err_j)
+    assert summary.pop("tolerance_exceeded") is False
+    text = dict(line.split(": ") for line in err_t.splitlines())
+    assert len(text) == len(summary) == 4
+    for key, value in summary.items():
+        label = key.replace("_", " ").replace("initial state", "initial-state")
+        assert text[label] == f"{value:.3e}"
+    # the drift formulas, recomputed from the CSV columns (a = 1)
+    cols = {name: np.array([float(v) for v in col]) for name, *col in
+            zip(*(line.split(",") for line in out_j.splitlines()))}
+    j = np.stack([cols["J1"], cols["J2"], cols["J3"]], axis=1)
+    assert summary["max_constraint_residual"] == max(
+        cols["C2_residual"].max(), cols["C3_residual"].max())
+    assert summary["max_H_drift"] == pytest.approx(
+        np.abs(cols["H"] - cols["H"][0]).max() / abs(cols["H"][0]), rel=1e-6)
+    assert summary["max_J_drift"] == pytest.approx(
+        np.abs(j - j[0]).max() / np.abs(j[0]).max(), rel=1e-6)
 
 
 def test_simulate_bad_p0(capsys):
@@ -165,9 +197,13 @@ def test_spectrum_lam_zero_warns(capsys):
 
 
 def test_spectrum_coarse_grid_exceeds_tolerance(capsys):
-    code, _, _ = run(capsys, "spectrum", "--grid-h", "0.1",
-                     "--lam", "2", "--n", "0")
-    assert code == EXIT_TOLERANCE
+    # a NaN residual fails as well, also when it is not the first one
+    for argv in (["--grid-h", "0.1", "--lam", "2", "--n", "0"],
+                 ["--lam", "500", "--theta-max", "1.1", "--n", "0"],
+                 ["--lam", "0.5,500", "--theta-max", "1.1", "--n", "0"]):
+        with np.errstate(all="ignore"):
+            code, _, _ = run(capsys, "spectrum", *argv)
+        assert code == EXIT_TOLERANCE
 
 
 def test_spectrum_beyond_gauss_order_cap_exits_2(capsys):
