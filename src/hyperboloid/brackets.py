@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .expr import PhaseExpr, parse_expr
+from .expr import PhaseExpr, Poly, parse_expr
 
 CANONICAL_PAIRS = (("x", "p_x"), ("y", "p_y"), ("z", "p_z"), ("lam", "p_lam"))
 
@@ -91,41 +91,43 @@ def extended_hamiltonian() -> PhaseExpr:
 # lam is fixed on the constraint surface: C4 = 0 with C2 = 0 gives
 # lam*a^2 = -H, i.e. lam = -(p_x^2+p_y^2-p_z^2)/(2*m*a^2)
 _LAM_ON_SHELL = parse_expr("-(p_x^2 + p_y^2 - p_z^2)/(2*m*a^2)")
-_Z_SQ_RULE = parse_expr("x^2 + y^2 + a^2")
-_ZPZ_RULE = parse_expr("-(x*p_x + y*p_y)")
 
-from .expr import Poly, VAR_INDEX, VARS  # noqa: E402
 
-_ZI = VAR_INDEX["z"]
-_PZI = VAR_INDEX["p_z"]
+def _rule(lhs: str, rhs: str):
+    """The rewrite lhs -> rhs of a monomial: (exponents of lhs, rhs - lhs)."""
+    (exps,) = parse_expr(lhs).num.terms
+    return exps, parse_expr(f"{rhs} - ({lhs})").num
+
+
+_Z_SQ_RULE = _rule("z^2", "x^2 + y^2 + a^2")
+_ZPZ_RULE = _rule("z*p_z", "-(x*p_x + y*p_y)")
 
 
 def _reduce_poly(p: Poly, use_zsq=True, use_zpz=True) -> PhaseExpr:
-    """Rewrite z^2 -> x^2+y^2+a^2 and z*p_z -> -(x p_x + y p_y) to fixpoint."""
-    e = PhaseExpr(p)
+    """Rewrite z^2 -> x^2+y^2+a^2 and z*p_z -> -(x p_x + y p_y) to fixpoint.
+
+    z^2 is rewritten first where both apply.  Each step adds a multiple
+    of a constraint, so the rewrite stays on Poly.
+    """
+    rules = [r for r, on in ((_Z_SQ_RULE, use_zsq), (_ZPZ_RULE, use_zpz)) if on]
     while True:
-        poly = e.num
-        target = None
-        for exps in poly.terms:
-            if (use_zsq and exps[_ZI] >= 2) or (
-                use_zpz and exps[_ZI] >= 1 and exps[_PZI] >= 1
-            ):
-                target = exps
-                break
-        if target is None:
-            return e
-        c = poly.terms[target]
-        rest = list(target)
-        if use_zsq and target[_ZI] >= 2:
-            rest[_ZI] -= 2
-            replacement = _Z_SQ_RULE
-        else:
-            rest[_ZI] -= 1
-            rest[_PZI] -= 1
-            replacement = _ZPZ_RULE
-        mono = PhaseExpr(Poly({tuple(rest): c}))
-        original_term = PhaseExpr(Poly({target: c}))
-        e = e - original_term + mono * replacement
+        hit = next(((exps, lhs, diff) for exps in p.terms for lhs, diff in rules
+                    if all(k >= l for k, l in zip(exps, lhs))), None)
+        if hit is None:
+            return PhaseExpr(p)
+        exps, lhs, diff = hit
+        p = p + Poly({tuple(k - l for k, l in zip(exps, lhs)): p.terms[exps]}) * diff
+
+
+def _reduce_partial(e: PhaseExpr, stage: int) -> PhaseExpr:
+    """Reduce modulo only the first `stage` constraints (chain termination test)."""
+    if stage >= 1:
+        e = e.subs("p_lam", PhaseExpr.const(0))
+    if stage >= 4:
+        e = e.subs("lam", _LAM_ON_SHELL)
+    num, den = (_reduce_poly(q, use_zsq=stage >= 2, use_zpz=stage >= 3)
+                for q in (e.num, e.den))
+    return num / den
 
 
 def reduce_on_shell(e: PhaseExpr) -> PhaseExpr:
@@ -136,11 +138,7 @@ def reduce_on_shell(e: PhaseExpr) -> PhaseExpr:
     z^2 -> x^2 + y^2 + a^2 and z*p_z -> -(x p_x + y p_y) until no rule
     applies; the z-degree strictly decreases so the rewrite terminates.
     """
-    e = e.subs("p_lam", PhaseExpr.const(0))
-    e = e.subs("lam", _LAM_ON_SHELL)
-    num = _reduce_poly(e.num)
-    den = _reduce_poly(e.den)
-    return num / den
+    return _reduce_partial(e, 4)
 
 
 _PZ_ON_SHELL = parse_expr("-(x*p_x + y*p_y)/z")
@@ -155,22 +153,8 @@ def is_zero_on_shell(e: PhaseExpr) -> bool:
     C2, and demand the z-linear remainder A + B*z vanish coefficientwise
     (z is a degree-2 algebraic element over the remaining variables).
     """
-    e = e.subs("p_lam", PhaseExpr.const(0))
-    e = e.subs("lam", _LAM_ON_SHELL)
-    e = e.subs("p_z", _PZ_ON_SHELL)
-    reduced = _reduce_poly(e.num, use_zpz=False)
-    return reduced.is_zero()
-
-
-def _reduce_partial(e: PhaseExpr, stage: int) -> PhaseExpr:
-    """Reduce modulo only the first `stage` constraints (chain termination test)."""
-    if stage >= 1:
-        e = e.subs("p_lam", PhaseExpr.const(0))
-    if stage >= 4:
-        e = e.subs("lam", _LAM_ON_SHELL)
-    num = _reduce_poly(e.num, use_zsq=stage >= 2, use_zpz=stage >= 3)
-    den = _reduce_poly(e.den, use_zsq=stage >= 2, use_zpz=stage >= 3)
-    return num / den
+    e = e.subs("p_lam", PhaseExpr.const(0)).subs("lam", _LAM_ON_SHELL)
+    return _reduce_poly(e.subs("p_z", _PZ_ON_SHELL).num, use_zpz=False).is_zero()
 
 
 # -- constraint chain --------------------------------------------------
@@ -261,74 +245,28 @@ class BracketMatrix:
         return self.inverse[i][j]
 
 
-def _bareiss_det(rows):
-    """Fraction-free Bareiss determinant of a matrix of Polys."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = Poly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q = num.exact_div(prev)
-                assert q is not None, "Bareiss division not exact"
-                m[i][j] = q
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
 def invert_matrix(entries) -> tuple:
-    """Exact inverse of a matrix of PhaseExpr over the rational-function field.
+    """Exact inverse of a matrix of PhaseExpr by Gauss-Jordan elimination
+    over the rational-function field.
 
-    Denominators are cleared per entry, the adjugate is assembled from
-    fraction-free Bareiss minors, and each entry is normalized back to a
-    reduced rational function.
+    Each column pivots on its first nonzero entry on or below the
+    diagonal; every entry stays a reduced rational function throughout.
     """
     n = len(entries)
-    # common denominator D: product is overkill; use entrywise num/den directly
-    # Build polynomial matrix P with P_ij = num_ij * (D_i / den_ij) by rows.
-    from .expr import poly_gcd
-
-    poly_rows = []
-    row_scales = []
-    for row in entries:
-        # lcm of denominators in the row
-        lcm = Poly.const(1)
-        for e in row:
-            g = poly_gcd(lcm, e.den)
-            lcm = lcm * e.den.exact_div(g)
-        prow = []
-        for e in row:
-            prow.append(e.num * lcm.exact_div(e.den))
-        poly_rows.append(prow)
-        row_scales.append(lcm)
-    det = _bareiss_det(poly_rows)
-    if det.is_zero():
-        raise ConstraintError("bracket matrix is singular: constraints not second-class")
-    inv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [poly_rows[r][c] for c in range(n) if c != j]
-                for r in range(n) if r != i
-            ]
-            cof = _bareiss_det(minor) if minor else Poly.const(1)
-            if (i + j) % 2:
-                cof = -cof
-            # inverse of scaled matrix, then undo row scaling on the right:
-            # (P)^-1 = adj(P)/det, M = diag(1/s_i) P  =>  M^-1 = P^-1 diag(s_i)
-            inv[j][i] = PhaseExpr(cof * row_scales[i], det)
-    return tuple(tuple(r) for r in inv)
+    rows = [list(row) + [PhaseExpr.const(int(i == j)) for j in range(n)]
+            for i, row in enumerate(entries)]
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            raise ConstraintError("bracket matrix is singular: constraints not second-class")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k][k]
+        rows[k] = [e / pivot for e in rows[k]]
+        for r in range(n):
+            f = rows[r][k]
+            if r != k and f:
+                rows[r] = [e - f * ek for e, ek in zip(rows[r], rows[k])]
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def bracket_matrix(cs: ConstraintSet) -> BracketMatrix:

@@ -193,8 +193,9 @@ def integrate_embedded(
             ys.append(y)
         if not projection:
             x, p = y[:3], y[3:]
-            if (abs(inner(x, x) + a * a) > 1e3 * tol_c
-                    or abs(float(np.dot(x, p))) > 1e3 * tol_c * pscale):
+            # a NaN residual warns too: it is not <= its bound
+            if not (abs(inner(x, x) + a * a) <= 1e3 * tol_c
+                    and abs(float(np.dot(x, p))) <= 1e3 * tol_c * pscale):
                 drift_warning = True
         if k == n_steps:
             break

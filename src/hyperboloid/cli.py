@@ -87,13 +87,13 @@ def _bind_list_values(argv: list) -> list:
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {k: getattr(args, k, None)
                  for k in ("a", "m", "hbar", "dt", "T", "theta_min",
                            "theta_max", "h", "n_phi", "seed", "out")}
     if getattr(args, "no_projection", False):
         overrides["projection"] = False
-    return cfg.override(**overrides)
+    return (RunConfig.from_file(args.config, **overrides) if args.config
+            else RunConfig().override(**overrides))
 
 
 def _emit(text: str, out: str | None):
@@ -193,9 +193,10 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     rec.write_csv(cfg.out or sys.stdout)
 
     drift = rec.drift(cfg.a)
-    over = (drift["max_constraint_residual"] > cfg.tol_constraint
-            or drift["max_H_drift"] > cfg.tol_drift
-            or drift["max_J_drift"] > cfg.tol_drift)
+    # a NaN drift fails too: it is not <= its tolerance
+    over = not (drift["max_constraint_residual"] <= cfg.tol_constraint
+                and drift["max_H_drift"] <= cfg.tol_drift
+                and drift["max_J_drift"] <= cfg.tol_drift)
     failed = rec.drift_warning or (cfg.projection and over)
     if args.format == "json":
         sys.stderr.write(json.dumps({"initial_state_adjustment": adjust, **drift,

@@ -40,6 +40,10 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        # the drift and energy scales divide by m a^2, which must not underflow
+        ma2 = self.m * self.a * self.a
+        if not (ma2 > 0 and math.isfinite(1 / ma2)):
+            raise ConfigError(f"1/(m a^2) must be finite, got m = {self.m}, a = {self.a}")
         # a T that is not a whole number of steps would be cut short or overshot
         steps = round(self.T / self.dt)
         if steps < 1 or abs(self.T / self.dt - steps) > 1e-9 * steps:
@@ -55,13 +59,16 @@ class RunConfig:
         return int(round((self.theta_max - self.theta_min) / self.h)) + 1
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
+    def from_file(cls, path: str, **overrides) -> "RunConfig":
+        """Load a JSON config file with flag values (None = not given) over
+        it, and validate the merged values once."""
         with open(path) as fh:
             data = json.load(fh)
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        data.update((k, v) for k, v in overrides.items() if v is not None)
         return cls(**data)
 
     def override(self, **kwargs) -> "RunConfig":

@@ -475,25 +475,18 @@ class PhaseExpr:
         return self.num.eval(env) / d
 
     def subs(self, name: str, value: "PhaseExpr") -> "PhaseExpr":
-        """Substitute an expression for a variable (exact)."""
-        name = ALIASES.get(name, name)
-        vi = VAR_INDEX[name]
-        out = PhaseExpr.const(0)
-        for poly, inv in ((self.num, False), (self.den, True)):
-            acc = PhaseExpr.const(0)
-            for e, c in poly.terms.items():
-                term = PhaseExpr.const(c)
-                for vj, k in enumerate(e):
-                    if not k:
-                        continue
-                    base = value if vj == vi else PhaseExpr.var(VARS[vj])
-                    term = term * base**k
-                acc = acc + term
-            if inv:
-                out = out / acc
-            else:
-                out = acc
-        return out
+        """Substitute an expression for a variable (exact).
+
+        num and den are each evaluated as sum_k c_k * value^k, where c_k
+        is the coefficient of the k-th power of the variable.
+        """
+        vi = VAR_INDEX[ALIASES.get(name, name)]
+
+        def at(poly):
+            return sum((PhaseExpr(c, _normalized=True) * value**k
+                        for k, c in _to_uni(poly, vi).items()), PhaseExpr.const(0))
+
+        return at(self.num) / at(self.den)
 
     def __str__(self):
         if self.is_polynomial():

@@ -171,9 +171,9 @@ def apply_p(i: int, grid: Grid, f, a: float = 1.0, hbar: float = 1.0,
     on the grid, given J^i = i hbar K_(i).
     """
     x = grid.embedding(a)
-    j = {k: apply_j(k, grid, f, hbar) for k in (1, 2, 3)}
     jj, kk = {1: (2, 3), 2: (3, 1), 3: (1, 2)}[i]
-    out = -(x[jj - 1] * j[kk] - x[kk - 1] * j[jj]) / (a * a)
+    out = -(x[jj - 1] * apply_j(kk, grid, f, hbar)
+            - x[kk - 1] * apply_j(jj, grid, f, hbar)) / (a * a)
     if not drop_hermitian_term:
         x_low = x[i - 1] if i < 3 else -x[2]
         out = out - 1j * hbar / (a * a) * x_low * np.asarray(f, dtype=complex)

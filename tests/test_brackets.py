@@ -146,9 +146,26 @@ def test_matrix_times_inverse_is_identity(cs):
 
 
 def test_singular_matrix_rejected():
-    with pytest.raises(ConstraintError):
-        brackets.invert_matrix(tuple(
-            tuple(parse_expr("0") for _ in range(4)) for _ in range(4)))
+    zero = [["0"] * 4] * 4
+    # rank 3: the last row is the sum of the first two
+    rank3 = [["x", "1", "0", "0"], ["0", "y", "1", "0"], ["0", "0", "1/m", "a"],
+             ["x", "1 + y", "1", "0"]]
+    for rows in (zero, rank3):
+        with pytest.raises(ConstraintError):
+            brackets.invert_matrix(tuple(tuple(map(parse_expr, r)) for r in rows))
+
+
+def test_inverse_with_row_swap():
+    # M[0][0] = 0, so the first column pivots on a later row
+    m = tuple(tuple(map(parse_expr, r)) for r in (
+        ["0", "x", "1/y"], ["a", "0", "m"], ["1", "x/(a + 1)", "0"]))
+    inv = brackets.invert_matrix(m)
+    one, zero = parse_expr("1"), parse_expr("0")
+    for i in range(3):
+        for j in range(3):
+            want = one if i == j else zero
+            assert sum((m[i][k] * inv[k][j] for k in range(3)), zero) == want
+            assert sum((inv[i][k] * m[k][j] for k in range(3)), zero) == want
 
 
 # -- on-shell reduction ------------------------------------------------

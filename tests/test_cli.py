@@ -115,7 +115,9 @@ def test_simulate_bad_dt_usage_error(capsys):
                  # T must be a whole number of dt steps
                  ["simulate", "--T", "1", "--dt", "0.3"],
                  ["simulate", "--T", "1", "--dt", "0.6"],
-                 ["simulate", "--T", "1", "--dt", "3"]):
+                 ["simulate", "--T", "1", "--dt", "3"],
+                 # 1/(m a^2) overflows
+                 ["simulate", "--a", "1e-300", "--T", "1", "--dt", "0.1"]):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert "error" in err
@@ -197,12 +199,17 @@ def test_spectrum_lam_zero_warns(capsys):
 
 
 def test_spectrum_coarse_grid_exceeds_tolerance(capsys):
-    # a NaN residual fails as well, also when it is not the first one
-    for argv in (["--grid-h", "0.1", "--lam", "2", "--n", "0"],
-                 ["--lam", "500", "--theta-max", "1.1", "--n", "0"],
-                 ["--lam", "0.5,500", "--theta-max", "1.1", "--n", "0"]):
+    # a NaN residual fails as well, also when it is not the first one,
+    # and so does a NaN drift in simulate
+    for argv in (["spectrum", "--grid-h", "0.1", "--lam", "2", "--n", "0"],
+                 ["spectrum", "--lam", "500", "--theta-max", "1.1", "--n", "0"],
+                 ["spectrum", "--lam", "0.5,500", "--theta-max", "1.1", "--n", "0"],
+                 ["simulate", "--p0=1e200,0,0", "--T", "1", "--dt", "0.1"],
+                 ["simulate", "--m", "1e-300", "--T", "1", "--dt", "0.1"],
+                 ["simulate", "--no-projection", "--m", "1e-300", "--T", "1",
+                  "--dt", "0.1"]):
         with np.errstate(all="ignore"):
-            code, _, _ = run(capsys, "spectrum", *argv)
+            code, _, _ = run(capsys, *argv)
         assert code == EXIT_TOLERANCE
 
 
@@ -265,6 +272,22 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 52                      # flag T=0.5 wins over file
     assert float(lines[1].split(",")[3]) == 2.0  # file a=2 survives (apex z)
+
+
+def test_config_file_validated_with_flags(tmp_path, capsys):
+    # a file that is valid only together with the flags exits as the same
+    # values given as flags do
+    cfg = tmp_path / "cfg.json"
+    for data, argv, want in (
+            ({"dt": 0.3}, ["simulate", "--T", "0.9"], EXIT_TOLERANCE),
+            ({"theta_min": 4.0},
+             ["spectrum", "--theta-max", "5", "--lam", "1", "--n", "0"], EXIT_OK)):
+        cfg.write_text(json.dumps(data))
+        code, _, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == want
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in data.items()]
+        code, _, _ = run(capsys, *argv, *flags)
+        assert code == want
 
 
 def test_unknown_config_key_usage(tmp_path, capsys):

@@ -26,6 +26,12 @@ def test_from_file(tmp_path):
     cfg = RunConfig.from_file(str(path))
     assert cfg.a == 2.0 and cfg.dt == 1e-4 and cfg.n_phi == 32
     assert cfg.m == 1.0   # untouched defaults survive
+    # validated once, with the flag values applied (None = flag absent)
+    path.write_text(json.dumps({"dt": 0.3}))
+    with pytest.raises(ConfigError, match="whole number"):
+        RunConfig.from_file(str(path))        # T = 10 is not 0.3 steps
+    cfg = RunConfig.from_file(str(path), T=0.9, a=None)
+    assert cfg.dt == 0.3 and cfg.T == 0.9 and cfg.a == 1.0
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -52,6 +58,10 @@ def test_validation():
         RunConfig(theta_min=2.0, theta_max=1.0)
     with pytest.raises(ConfigError):
         RunConfig(n_phi=12)      # not a power of two
+    with pytest.raises(ConfigError, match="m a"):
+        RunConfig(a=1e-300)      # a*a underflows, 1/(m a^2) is infinite
+    with pytest.raises(ConfigError, match="m a"):
+        RunConfig(m=1e-300, a=1e-10)
 
 
 def test_to_dict_roundtrip():

@@ -92,6 +92,18 @@ def test_diff():
     assert e.diff("y").is_zero()
 
 
+def test_subs_in_numerator_and_denominator():
+    e = parse_expr("(x^2 + y)/(x - a)")
+    value = parse_expr("(y + 1)/m")
+    out = e.subs("x", value)
+    # ((y+1)^2/m^2 + y)/((y+1)/m - a), one factor of m cancelled by hand
+    assert out == parse_expr("((y + 1)^2 + y*m^2)/(m*(y + 1 - a*m))")
+    for y, a, m in ((Fraction(1, 3), Fraction(2), Fraction(5, 7)),
+                    (Fraction(-4), Fraction(1, 2), Fraction(3))):
+        env = {"y": y, "a": a, "m": m}
+        assert out.eval(env) == e.eval({**env, "x": value.eval(env)})
+
+
 names = st.sampled_from(["x", "y", "z", "p_x", "p_y", "p_z", "a", "m"])
 
 
