@@ -361,48 +361,32 @@ def verify_iso12(bm: BracketMatrix, flip_epsilon_sign: bool = False) -> Iso12Rep
         report.table[f"{a},{b}"] = val
         return val
 
-    # {x^i, x^j}_M = 0
-    for i in range(1, 4):
-        for j in range(1, 4):
-            add(f"dirac(x{i},x{j})=0", dirac(f"x{i}", f"x{j}"))
-
-    # {x^i, p_j}_M = delta^i_j + x^i x_j / a^2
     a2 = parse_expr("a^2")
-    for i in range(1, 4):
-        for j in range(1, 4):
-            expected = coord(i) * coord_lower(j) / a2
-            if i == j:
-                expected = expected + 1
-            add(f"dirac(x{i},p{j})=delta+xx/a^2", dirac(f"x{i}", f"p{j}") - expected)
 
-    # {p_i, p_j}_M = (x_i p_j - x_j p_i)/a^2
-    for i in range(1, 4):
-        for j in range(1, 4):
-            expected = (coord_lower(i) * momentum(j) - coord_lower(j) * momentum(i)) / a2
-            add(f"dirac(p{i},p{j})=(xp-xp)/a^2", dirac(f"p{i}", f"p{j}") - expected)
+    def minus_eps(i, j, v):
+        """-eps^{ijk} v(k), summed over k."""
+        out = PhaseExpr.const(0)
+        for k in range(1, 4):
+            s = eps_upper(i, j, k, flip_sign=flip)
+            if s:
+                out = out - PhaseExpr.const(s) * v(k)
+        return out
 
-    # {J^i, x^j}_M = -eps^{ijk} x_k
-    for i in range(1, 4):
-        for j in range(1, 4):
-            expected = PhaseExpr.const(0)
-            for k in range(1, 4):
-                s = eps_upper(i, j, k, flip_sign=flip)
-                if s:
-                    expected = expected - PhaseExpr.const(s) * coord_lower(k)
-            add(f"dirac(J{i},x{j})=-eps*x", dirac(f"J{i}", f"x{j}") - expected)
-
-    # {J^i, J^j}_M = -eps^{ijk} J_k
-    for i in range(1, 4):
-        for j in range(1, 4):
-            expected = PhaseExpr.const(0)
-            for k in range(1, 4):
-                s = eps_upper(i, j, k, flip_sign=flip)
-                if s:
-                    expected = expected - PhaseExpr.const(s) * angular_j_lower(k)
-            add(
-                f"dirac(J{i},J{j})=-eps*J",
-                dirac(f"J{i}", f"J{j}") - reduce_on_shell(expected),
-            )
+    # (left, right, law, expected {left^i, right^j}_M)
+    pair_laws = (
+        ("x", "x", "0", lambda i, j: PhaseExpr.const(0)),
+        ("x", "p", "delta+xx/a^2",
+         lambda i, j: coord(i) * coord_lower(j) / a2 + (1 if i == j else 0)),
+        ("p", "p", "(xp-xp)/a^2",
+         lambda i, j: (coord_lower(i) * momentum(j) - coord_lower(j) * momentum(i)) / a2),
+        ("J", "x", "-eps*x", lambda i, j: minus_eps(i, j, coord_lower)),
+        ("J", "J", "-eps*J", lambda i, j: reduce_on_shell(minus_eps(i, j, angular_j_lower))),
+    )
+    for left, right, law, expected in pair_laws:
+        for i in range(1, 4):
+            for j in range(1, 4):
+                add(f"dirac({left}{i},{right}{j})={law}",
+                    dirac(f"{left}{i}", f"{right}{j}") - expected(i, j))
 
     # Casimir centrality: {x.x, f}_M = 0 and {x.J, f}_M = 0 for every generator
     for g in [f"x{i}" for i in range(1, 4)] + [f"J{i}" for i in range(1, 4)]:

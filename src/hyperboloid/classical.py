@@ -235,9 +235,12 @@ def closed_form_geodesic(s0: EmbeddedState, m: float, a: float, t) -> EmbeddedSt
             return EmbeddedState(x0.copy(), np.zeros(3), s0.t + t)
         raise SimulationError("tangent vector is not spacelike")
     s = math.sqrt(uu) / a
-    dt = t
-    x = x0 * math.cosh(s * dt) + (u / s) * math.sinh(s * dt)
-    v = x0 * s * math.sinh(s * dt) + u * math.cosh(s * dt)
+    try:
+        ch, sh = math.cosh(s * t), math.sinh(s * t)
+    except OverflowError:
+        raise SimulationError(f"closed-form geodesic overflows at s t = {s * t:.3e}") from None
+    x = x0 * ch + (u / s) * sh
+    v = x0 * s * sh + u * ch
     p = geometry.lower(m * v)  # store lower-index momenta
     return EmbeddedState(x, p, s0.t + t)
 

@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig
 from .conical import ConicalError
 from .expr import parse_expr
 from .grid import Grid, GridError, SpectralMode, eigen_residual, sample_modes
-from .verify import run_verification
+from .verify import FAULTS, MODULES, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -68,9 +68,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("verify", help="run every invariant suite")
     common(sp)
-    sp.add_argument("--only", help="restrict to one module")
-    sp.add_argument("--inject-fault", action="append", default=[],
-                    help="negative-control hook (epsilon_sign, drop_hermitian_term)")
+    sp.add_argument("--only", choices=MODULES, help="restrict to one module")
+    sp.add_argument("--inject-fault", action="append", default=[], choices=FAULTS,
+                    help="negative-control hook")
     return p
 
 
@@ -92,8 +92,7 @@ def _load_config(args) -> RunConfig:
                            "theta_max", "h", "n_phi", "seed", "out")}
     if getattr(args, "no_projection", False):
         overrides["projection"] = False
-    return (RunConfig.from_file(args.config, **overrides) if args.config
-            else RunConfig().override(**overrides))
+    return RunConfig.from_file(args.config, **overrides)
 
 
 def _emit(text: str, out: str | None):
@@ -258,11 +257,7 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    try:
-        report = run_verification(cfg, only=args.only,
-                                  faults=tuple(args.inject_fault))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = run_verification(cfg, only=args.only, faults=tuple(args.inject_fault))
     doc = report.to_dict()
     doc["config"] = cfg.to_dict()
     fmt = args.format or "json"

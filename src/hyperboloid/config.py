@@ -11,6 +11,11 @@ class ConfigError(Exception):
     pass
 
 
+# the JSON value types each field annotation accepts
+_JSON_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,),
+               "str | None": (str, type(None))}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # physical parameters
@@ -40,10 +45,12 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        # the drift and energy scales divide by m a^2, which must not underflow
+        # the drift and energy scales divide by m a^2, which must neither
+        # underflow nor overflow
         ma2 = self.m * self.a * self.a
-        if not (ma2 > 0 and math.isfinite(1 / ma2)):
-            raise ConfigError(f"1/(m a^2) must be finite, got m = {self.m}, a = {self.a}")
+        if not (0 < ma2 < math.inf and 1 / ma2 < math.inf):
+            raise ConfigError(
+                f"m a^2 and 1/(m a^2) must be finite, got m = {self.m}, a = {self.a}")
         # a T that is not a whole number of steps would be cut short or overshot
         steps = round(self.T / self.dt)
         if steps < 1 or abs(self.T / self.dt - steps) > 1e-9 * steps:
@@ -59,15 +66,26 @@ class RunConfig:
         return int(round((self.theta_max - self.theta_min) / self.h)) + 1
 
     @classmethod
-    def from_file(cls, path: str, **overrides) -> "RunConfig":
-        """Load a JSON config file with flag values (None = not given) over
-        it, and validate the merged values once."""
-        with open(path) as fh:
-            data = json.load(fh)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+    def from_file(cls, path: str | None, **overrides) -> "RunConfig":
+        """Load a JSON config file (none when path is None) with flag values
+        (None = not given) over it, and validate the merged values once."""
+        data = {}
+        if path is not None:
+            try:
+                with open(path) as fh:
+                    data = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read config file {path}: {exc}") from None
+            if not isinstance(data, dict):
+                raise ConfigError(f"config file {path} must hold a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            # exact JSON types: a bool is not a number here
+            if type(value) not in _JSON_TYPES[types[key]]:
+                raise ConfigError(f"config key {key} must be {types[key]}, got {value!r}")
         data.update((k, v) for k, v in overrides.items() if v is not None)
         return cls(**data)
 

@@ -116,8 +116,10 @@ def test_simulate_bad_dt_usage_error(capsys):
                  ["simulate", "--T", "1", "--dt", "0.3"],
                  ["simulate", "--T", "1", "--dt", "0.6"],
                  ["simulate", "--T", "1", "--dt", "3"],
-                 # 1/(m a^2) overflows
-                 ["simulate", "--a", "1e-300", "--T", "1", "--dt", "0.1"]):
+                 # 1/(m a^2) overflows, and so does m a^2
+                 ["simulate", "--a", "1e-300", "--T", "1", "--dt", "0.1"],
+                 ["simulate", "--a", "1e200", "--T", "1", "--dt", "0.1"],
+                 ["verify", "--a", "1e200"]):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert "error" in err
@@ -207,7 +209,9 @@ def test_spectrum_coarse_grid_exceeds_tolerance(capsys):
                  ["simulate", "--p0=1e200,0,0", "--T", "1", "--dt", "0.1"],
                  ["simulate", "--m", "1e-300", "--T", "1", "--dt", "0.1"],
                  ["simulate", "--no-projection", "--m", "1e-300", "--T", "1",
-                  "--dt", "0.1"]):
+                  "--dt", "0.1"],
+                 # the closed-form reference geodesic overflows
+                 ["verify", "--a", "1e-100"]):
         with np.errstate(all="ignore"):
             code, _, _ = run(capsys, *argv)
         assert code == EXIT_TOLERANCE
@@ -239,17 +243,31 @@ def test_verify_only_module(capsys):
 
 
 def test_verify_fault_flips_exit(capsys):
-    code, out, _ = run(capsys, "verify", "--only", "phase_algebra",
-                       "--inject-fault", "epsilon_sign")
-    assert code == EXIT_VERIFY_FAIL
-    doc = json.loads(out)
-    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
-    assert "iso12_closure" in failed
+    # a check that cannot be measured (NaN) fails as well
+    for argv, check in (
+            (["--only", "phase_algebra", "--inject-fault", "epsilon_sign"],
+             "iso12_closure"),
+            # every J.J / (2 m a^2) sample overflows to NaN
+            (["--only", "classical_sim", "--a", "1e154"], "hamiltonian_from_j"),
+            # the residuals underflow to 0, so their ratio has no order
+            (["--only", "spectral", "--hbar", "1e-200"], "eigen_residual_order"),
+            # a coarse step of 4 dt does not fit into T
+            (["--only", "classical_sim", "--T", "0.002", "--dt", "0.001"],
+             "rk4_order")):
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, "verify", *argv)
+        assert code == EXIT_VERIFY_FAIL
+        assert "Traceback" not in out + err
+        doc = json.loads(out)
+        failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+        assert check in failed
 
 
 def test_verify_unknown_module_usage(capsys):
-    code, _, _ = run(capsys, "verify", "--only", "nonsense")
-    assert code == EXIT_USAGE
+    for argv in (["--only", "nonsense"], ["--inject-fault", "nonsense"]):
+        code, _, err = run(capsys, "verify", *argv)
+        assert code == EXIT_USAGE
+        assert "invalid choice" in err
 
 
 def test_verify_text_format(capsys):
@@ -292,8 +310,12 @@ def test_config_file_validated_with_flags(tmp_path, capsys):
 
 def test_unknown_config_key_usage(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    code, _, _ = run(capsys, "verify", "--config", str(cfg))
+    for text in ('{"bogus": 1}', '{"a": "2"}', '{"n_phi": 16.5}', "[1]", '{"a": '):
+        cfg.write_text(text)
+        code, _, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+    code, _, _ = run(capsys, "verify", "--config", str(tmp_path / "missing.json"))
     assert code == EXIT_USAGE
 
 

@@ -41,6 +41,27 @@ def test_unknown_keys_rejected(tmp_path):
         RunConfig.from_file(str(path))
 
 
+def test_bad_file_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    for text, match in (
+            ('{"a": "2"}', "a must be float"),
+            ('{"a": true}', "a must be float"),         # a bool is not a number
+            ('{"n_phi": 16.5}', "n_phi must be int"),
+            ('{"projection": "no"}', "projection must be bool"),
+            ('{"out": 3}', "out must be str | None"),
+            ("[1]", "JSON object"),
+            ('{"a": ', "cannot read")):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_file(str(path))
+    with pytest.raises(ConfigError, match="cannot read"):
+        RunConfig.from_file(str(tmp_path / "missing.json"))
+    # a float field takes a JSON integer
+    path.write_text('{"a": 2, "projection": false, "out": null}')
+    cfg = RunConfig.from_file(str(path))
+    assert cfg.a == 2 and cfg.projection is False and cfg.out is None
+
+
 def test_override_flag_wins():
     cfg = RunConfig(a=2.0, dt=1e-4)
     out = cfg.override(a=3.0, dt=None, seed=None)
@@ -62,6 +83,8 @@ def test_validation():
         RunConfig(a=1e-300)      # a*a underflows, 1/(m a^2) is infinite
     with pytest.raises(ConfigError, match="m a"):
         RunConfig(m=1e-300, a=1e-10)
+    with pytest.raises(ConfigError, match="m a"):
+        RunConfig(a=1e200)       # m a^2 overflows, 1/(m a^2) is 0
 
 
 def test_to_dict_roundtrip():
