@@ -86,6 +86,11 @@ class RunConfig:
             # exact JSON types: a bool is not a number here
             if type(value) not in _JSON_TYPES[types[key]]:
                 raise ConfigError(f"config key {key} must be {types[key]}, got {value!r}")
+            if types[key] == "float":
+                try:
+                    data[key] = float(value)
+                except OverflowError:
+                    raise ConfigError(f"config key {key} is too large for a float") from None
         data.update((k, v) for k, v in overrides.items() if v is not None)
         return cls(**data)
 

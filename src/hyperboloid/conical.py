@@ -65,8 +65,9 @@ SERIES_THETA = 1.2   # hypergeometric series below, quadrature and recurrence ab
 GAUSS_QUANTUM = 32   # Gauss orders are rounded up to a multiple of this
 # Largest Gauss-Legendre table built.  The Mehler-Dirichlet order grows as
 # 40 + 24 lam theta, so the quadrature branch resolves lam * theta <~ 41;
-# beyond it the table build (a dense eigensolve) and the (theta x nodes)
-# blocks would grow without bound, so the evaluation raises instead.
+# beyond it the (theta x nodes) blocks, and the time and memory they take,
+# would grow without bound, so the evaluation raises ConicalError (the CLI
+# exits 2) instead.
 GAUSS_ORDER_MAX = 1024
 _BLOCK = 128         # theta rows per (theta x nodes) block: bounds scratch memory
 
@@ -79,9 +80,10 @@ def radial_profiles(lam: float, n_max: int, thetas) -> np.ndarray:
     order-raising recurrence cancels catastrophically there: P^n decays
     like sinh^n while the recurrence terms do not).  Elsewhere P^0 is the
     Mehler-Dirichlet integral, P^1 the Laplace integral, both fixed-order
-    Gauss-Legendre over blocks of (theta x nodes), and the recurrence
-    raises the order for all theta at once.  Row n does not depend on
-    n_max.  Negative orders: see profile_row.
+    Gauss-Legendre over blocks of (theta x nodes), with node tables built
+    by Newton's method on the Legendre recurrence (_leggauss_table), and
+    the recurrence raises the order for all theta at once.  Row n does
+    not depend on n_max.  Negative orders: see profile_row.
     """
     th = np.asarray(thetas, dtype=float).reshape(-1)
     if not np.all(th >= 0):
@@ -197,7 +199,37 @@ def _leggauss(n: int):
 
 @lru_cache(maxsize=32)
 def _leggauss_table(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (ascending) and weights of order n, with no
+    matrix: Newton's method in the angle on P_n(cos theta) from Tricomi's
+    initial guesses (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652),
+    for the ceil(n/2) nonnegative nodes, mirrored."""
+    theta = math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5)
+    # Tricomi's n^-3 and n^-4 corrections, made in x = cos theta
+    shrink = 1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)
+    theta = np.arccos(shrink * np.cos(theta))
+    step = math.inf
+    while step > 1e-10:   # at most 3 steps for every order up to GAUSS_ORDER_MAX
+        p, slope = _legendre_slope(n, theta)
+        delta = p / slope
+        theta = theta + delta
+        step = np.max(np.abs(delta))
+    _, slope = _legendre_slope(n, theta)
+    # w = 2 / ((1 - x^2) P_n'(x)^2), with sin^2 theta for 1 - x^2: accurate at the ends
+    w = 2 / slope**2
+    x = np.cos(theta)
+    if n % 2:
+        x[-1] = 0.0   # the middle node
+    half = x.size - n % 2
+    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
+
+
+def _legendre_slope(n: int, theta: np.ndarray):
+    # P_n(cos theta) and sin(theta) P_n'(cos theta) by the three-term recurrence
+    x = np.cos(theta)
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (p_prev - x * p) / np.sin(theta)
 
 
 def _negative_order_factor(lam: float, n: int) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperboloid import brackets
+from hyperboloid import brackets, conical
 from hyperboloid.cli import (
     EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, EXIT_VERIFY_FAIL, main,
 )
@@ -172,7 +172,7 @@ def test_spectrum_energies(capsys):
         assert float(row[5]) < 1e-4
 
 
-def test_spectrum_matches_pinned_output(tmp_path, capsys):
+def assert_pinned_spectrum(tmp_path, capsys):
     out = tmp_path / "spectrum.csv"
     code, _, _ = run(capsys, "spectrum", "--lam=0.5,1,2", "--n=-2,0,1,3",
                      "--out", str(out))
@@ -190,6 +190,25 @@ def test_spectrum_matches_pinned_output(tmp_path, capsys):
         dpsi = complex(float(g[3]), float(g[4])) - complex(float(w[3]), float(w[4]))
         assert abs(dpsi) <= 1e-12 * scale[(w[0], w[1])]
         assert abs(float(g[5]) - float(w[5])) <= 1e-9
+
+
+def test_spectrum_matches_pinned_output(tmp_path, capsys):
+    assert_pinned_spectrum(tmp_path, capsys)
+
+
+def test_spectrum_calls_no_dense_eigensolver(tmp_path, capsys, monkeypatch):
+    # the Gauss tables are built by Newton iteration, not by an eigensolve
+    # that would start the BLAS thread pool
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    conical._leggauss_table.cache_clear()
+    try:
+        assert_pinned_spectrum(tmp_path, capsys)
+    finally:
+        conical._leggauss_table.cache_clear()
 
 
 def test_spectrum_lam_zero_warns(capsys):
@@ -310,7 +329,9 @@ def test_config_file_validated_with_flags(tmp_path, capsys):
 
 def test_unknown_config_key_usage(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    for text in ('{"bogus": 1}', '{"a": "2"}', '{"n_phi": 16.5}', "[1]", '{"a": '):
+    for text in ('{"bogus": 1}', '{"a": "2"}', '{"n_phi": 16.5}', "[1]", '{"a": ',
+                 # an integer too large for a float
+                 '{"a": 1' + "0" * 330 + "}"):
         cfg.write_text(text)
         code, _, err = run(capsys, "verify", "--config", str(cfg))
         assert code == EXIT_USAGE

@@ -49,6 +49,7 @@ def test_bad_file_rejected(tmp_path):
             ('{"n_phi": 16.5}', "n_phi must be int"),
             ('{"projection": "no"}', "projection must be bool"),
             ('{"out": 3}', "out must be str | None"),
+            ('{"a": 1' + "0" * 330 + "}", "too large"),
             ("[1]", "JSON object"),
             ('{"a": ', "cannot read")):
         path.write_text(text)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperboloid import conical
 from hyperboloid.conical import (
     ConicalError, complex_gamma, conical_p0, conical_p0_oracle, conical_pn,
     conical_pn_oracle, energy, normalization, radial_profiles,
@@ -128,6 +129,52 @@ def test_radial_profiles_match_oracle():
         # row n does not depend on how many orders are computed
         assert np.array_equal(radial_profiles(lam, 2, thetas), profiles[:3])
     assert worst < 1e-8
+
+
+# -- Gauss-Legendre tables ----------------------------------------------
+
+
+def _legendre_rows(n, x):
+    """P_0 .. P_{n-1} at x by the three-term recurrence, one row per degree."""
+    rows = np.empty((n, x.size), dtype=x.dtype)
+    rows[0], rows[1] = 1, x
+    for j in range(2, n):
+        rows[j] = ((2 * j - 1) * x * rows[j - 1] - (j - 1) * rows[j - 2]) / j
+    return rows
+
+
+def test_gauss_rule_integrates_legendre_products():
+    # the n-point rule is exact up to degree 2n - 1, so it reproduces the
+    # Legendre Gram matrix 2 delta_jk / (2k + 1) for j, k < n
+    for n in (32, 33, 224, 1024):
+        nodes, weights = conical._leggauss_table(n)
+        assert np.all(np.diff(nodes) > 0)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        rows = _legendre_rows(n, nodes)
+        gram = (rows * weights) @ rows.T
+        exact = np.diag(2.0 / (2 * np.arange(n) + 1))
+        assert np.max(np.abs(gram - exact)) <= 1e-14
+
+
+def test_gauss_rule_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for n in (32, 224, 1024):
+        nodes, weights = conical._leggauss_table(n)
+        # both ends, the middle and a stride between them
+        for i in sorted({0, 1, n // 2, n - 2, n - 1, *range(0, n, n // 8)}):
+            with mpmath.workdps(40):
+                # Newton in x on the same recurrence, from the double node
+                x = mpmath.mpf(float(nodes[i]))
+                for _ in range(4):
+                    p_prev, p = mpmath.mpf(1), x
+                    for j in range(2, n + 1):
+                        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+                    slope = n * (p_prev - x * p) / (1 - x * x)   # P_n'(x)
+                    x -= p / slope
+                weight = 2 / ((1 - x * x) * slope ** 2)
+                assert abs(nodes[i] - x) <= 2e-16
+                assert abs(weights[i] / weight - 1) <= 1e-10
 
 
 # -- normalization ------------------------------------------------------
