@@ -246,11 +246,11 @@ class BracketMatrix:
 
 
 def invert_matrix(entries) -> tuple:
-    """Exact inverse of a matrix of PhaseExpr by Gauss-Jordan elimination
-    over the rational-function field.
+    """Exact inverse of a matrix of PhaseExpr by Gauss-Jordan elimination.
 
     Each column pivots on its first nonzero entry on or below the
-    diagonal; every entry stays a reduced rational function throughout.
+    diagonal.  Every entry stays a polynomial over a monic monomial, so a
+    pivot that is not a monomial must divide its row exactly (ExprError).
     """
     n = len(entries)
     rows = [list(row) + [PhaseExpr.const(int(i == j)) for j in range(n)]

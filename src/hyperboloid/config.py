@@ -11,6 +11,10 @@ class ConfigError(Exception):
     pass
 
 
+# (theta, phi) points a grid may hold: 45 times the default 2901 x 16, 32 MiB a field
+GRID_POINTS_MAX = 1 << 21
+
+
 # the JSON value types each field annotation accepts
 _JSON_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,),
                "str | None": (str, type(None))}
@@ -60,6 +64,11 @@ class RunConfig:
         # spectral phi differentiation wants a power-of-two FFT length
         if self.n_phi < 4 or self.n_phi & (self.n_phi - 1):
             raise ConfigError(f"n_phi must be a power of two >= 4, got {self.n_phi}")
+        # a float count, so h = 1e-320 gives inf, refused before any array is built
+        points = ((self.theta_max - self.theta_min) / self.h + 1) * self.n_phi
+        if not points <= GRID_POINTS_MAX:
+            raise ConfigError(f"the grid of h = {self.h} and n_phi = {self.n_phi} has "
+                              f"{points:.3g} points, more than {GRID_POINTS_MAX}")
 
     @property
     def n_theta(self) -> int:

@@ -1,16 +1,19 @@
 """Exact symbolic phase-space expressions.
 
-Sparse multivariate polynomials (and ratios of them) over the rationals,
-in the eight canonical variables lam, x, y, z, p_lam, p_x, p_y, p_z and
-the two positive parameters a, m.  All coefficients are `Fraction`s; no
-floating point enters the algebra.  Normal forms are unique: fixed
-variable order, graded-lex monomial order, merged monomials, reduced
-fraction with monic denominator.
+Sparse multivariate polynomials over the rationals, and polynomials over
+a monic monomial, in the eight canonical variables lam, x, y, z, p_lam,
+p_x, p_y, p_z and the two positive parameters a, m.  All coefficients
+are `Fraction`s; no floating point enters the algebra.  Every division
+the kernel makes is by a monomial (the 1/a^2 of the laws, the pivots of
+the bracket matrix, the on-shell lam and p_z); any other denominator must
+divide its numerator exactly, up to a monomial, or raises `ExprError`.
+Normal forms are unique: fixed variable order, graded-lex monomial
+order, merged monomials, a monic monomial denominator with no monomial
+factor in common with the numerator.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 VARS = ("lam", "x", "y", "z", "p_lam", "p_x", "p_y", "p_z", "a", "m")
@@ -33,17 +36,6 @@ class ParseError(ExprError):
 
 class DivisionByZeroExpr(ExprError):
     pass
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    # gcd of rationals: gcd of numerators over lcm of denominators
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = math.gcd(a.numerator, b.numerator)
-    den = (a.denominator * b.denominator) // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
 
 
 def _grlex_key(exps):
@@ -86,9 +78,6 @@ class Poly:
         if not self.is_const():
             raise ExprError("not a constant polynomial")
         return self.terms.get(ZERO_EXP, Fraction(0))
-
-    def degree_in(self, vi: int) -> int:
-        return max((e[vi] for e in self.terms), default=0)
 
     def leading(self):
         """(exps, coeff) of the graded-lex leading term."""
@@ -180,7 +169,7 @@ class Poly:
             total += v
         return total
 
-    # -- exact division and gcd --------------------------------------
+    # -- exact division ----------------------------------------------
 
     def exact_div(self, g: "Poly"):
         """Quotient self/g if the division is exact, else None."""
@@ -200,22 +189,6 @@ class Poly:
             q[de] = coeff
             r = r - g * Poly({de: coeff})
         return Poly(q)
-
-    def content(self) -> Fraction:
-        c = Fraction(0)
-        for cf in self.terms.values():
-            c = _frac_gcd(c, cf)
-        return c
-
-    def primitive(self) -> "Poly":
-        """Divide out rational content; leading coefficient made positive."""
-        if self.is_zero():
-            return Poly()
-        c = self.content()
-        _, lc = self.leading()
-        if lc < 0:
-            c = -c
-        return self.scale(1 / c)
 
     # -- printing -----------------------------------------------------
 
@@ -248,7 +221,7 @@ class Poly:
     __repr__ = __str__
 
 
-# -- multivariate gcd (primitive PRS) ---------------------------------
+# -- univariate view and monomial gcd ---------------------------------
 
 
 def _to_uni(f: Poly, vi: int):
@@ -262,102 +235,23 @@ def _to_uni(f: Poly, vi: int):
     return {k: Poly(t) for k, t in coeffs.items()}
 
 
-def _from_uni(coeffs, vi: int) -> Poly:
-    out = {}
-    for k, p in coeffs.items():
-        for e, c in p.terms.items():
-            e2 = list(e)
-            e2[vi] = k
-            out[tuple(e2)] = c
-    return Poly(out)
-
-
-def _uni_deg(coeffs):
-    return max((k for k, p in coeffs.items() if p), default=-1)
-
-
-def _uni_mul_poly(coeffs, p: Poly):
-    return {k: c * p for k, c in coeffs.items()}
-
-
-def _uni_shift(coeffs, s: int):
-    return {k + s: c for k, c in coeffs.items()}
-
-
-def _uni_sub(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        out[k] = out.get(k, Poly()) - c
-        if out[k].is_zero():
-            del out[k]
-    return {k: c for k, c in out.items() if c}
-
-
-def _uni_prem(u, v, vi: int):
-    """Pseudo-remainder of u by v (univariate views in vi)."""
-    du, dv = _uni_deg(u), _uni_deg(v)
-    lv = v[dv]
-    r = {k: c for k, c in u.items() if c}
-    while True:
-        dr = _uni_deg(r)
-        if dr < dv:
-            return r
-        lr = r[dr]
-        r = _uni_mul_poly(r, lv)
-        r = _uni_sub(r, _uni_shift(_uni_mul_poly(v, lr), dr - dv))
-
-
-def _uni_content(coeffs) -> Poly:
-    g = Poly()
-    for c in coeffs.values():
-        g = poly_gcd(g, c)
-    return g
-
-
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Primitive gcd of two polynomials (positive leading coefficient)."""
-    if f.is_zero():
-        return g.primitive()
-    if g.is_zero():
-        return f.primitive()
-    if f.is_const() or g.is_const():
-        return Poly.const(1)
-    vi = min(
-        vi
-        for vi in range(NVARS)
-        if f.degree_in(vi) > 0 or g.degree_in(vi) > 0
-    )
-    fu, gu = _to_uni(f, vi), _to_uni(g, vi)
-    cf, cg = _uni_content(fu), _uni_content(gu)
-    cont = poly_gcd(cf, cg)
-    fp = _to_uni(_from_uni(fu, vi).exact_div(cf), vi)
-    gp = _to_uni(_from_uni(gu, vi).exact_div(cg), vi)
-    if _uni_deg(fp) < _uni_deg(gp):
-        fp, gp = gp, fp
-    while True:
-        r = _uni_prem(fp, gp, vi)
-        if not r:
-            break
-        rp = _from_uni(r, vi)
-        rc = _uni_content(r)
-        rp = rp.exact_div(rc)
-        fp, gp = gp, _to_uni(rp, vi)
-        if _uni_deg(gp) == 0:
-            return cont
-    h = _from_uni(gp, vi)
-    h = h.exact_div(_uni_content(gp)).primitive()
-    return (cont * h).primitive()
+    """The largest monic monomial dividing both f and g (neither zero).
+
+    When either is a monomial, as every kernel denominator is, this is
+    their whole gcd.
+    """
+    return Poly({tuple(map(min, zip(*f.terms, *g.terms))): Fraction(1)})
 
 
 # -- rational phase-space expressions ---------------------------------
 
 
 class PhaseExpr:
-    """Ratio of two polynomials in canonical normal form.
-
-    The denominator is nonzero, coprime to the numerator, and monic in
-    the graded-lex order, so structurally equal PhaseExprs are
-    mathematically equal and vice versa.
+    """A polynomial over a monic monomial that shares no monomial factor
+    with it, so structurally equal PhaseExprs are mathematically equal and
+    vice versa.  Other denominators must divide exactly, up to a monomial,
+    or raise ExprError.
     """
 
     __slots__ = ("num", "den")
@@ -378,8 +272,13 @@ class PhaseExpr:
             return Poly(), Poly.const(1)
         g = poly_gcd(num, den)
         if not g.is_const():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+            num, den = num.exact_div(g), den.exact_div(g)
+        if len(den.terms) > 1:  # keep its monomial factor if the rest divides num
+            mono = poly_gcd(den, den)
+            q = num.exact_div(den.exact_div(mono))
+            if q is None:
+                raise ExprError(f"denominator {den} is no monomial times a divisor of {num}")
+            num, den = q, mono
         _, lc = den.leading()
         if lc != 1:
             num = num.scale(1 / lc)
@@ -490,16 +389,10 @@ class PhaseExpr:
 
     def __str__(self):
         if self.is_polynomial():
-            c = self.den.const_value()
-            return str(self.num.scale(1 / c))
-        num_s = str(self.num)
-        den_s = str(self.den)
-        if len(self.num.terms) > 1:
-            num_s = f"({num_s})"
-        (de, dc), = [self.den.leading()]
-        simple_den = dc == 1 and sum(1 for k in de if k) == 1
-        if len(self.den.terms) > 1 or not simple_den:
-            den_s = f"({den_s})"
+            return str(self.num)
+        num_s = f"({self.num})" if len(self.num.terms) > 1 else str(self.num)
+        (de,) = self.den.terms
+        den_s = str(self.den) if sum(1 for k in de if k) == 1 else f"({self.den})"
         return f"{num_s}/{den_s}"
 
     __repr__ = __str__

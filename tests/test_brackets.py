@@ -11,7 +11,7 @@ from hyperboloid.brackets import (
     dirac_bracket, extended_hamiltonian, is_zero_on_shell, momentum, poisson,
     reduce_on_shell, verify_iso12,
 )
-from hyperboloid.expr import PhaseExpr, parse_expr
+from hyperboloid.expr import ExprError, PhaseExpr, parse_expr
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +158,7 @@ def test_singular_matrix_rejected():
 def test_inverse_with_row_swap():
     # M[0][0] = 0, so the first column pivots on a later row
     m = tuple(tuple(map(parse_expr, r)) for r in (
-        ["0", "x", "1/y"], ["a", "0", "m"], ["1", "x/(a + 1)", "0"]))
+        ["0", "x", "1/y"], ["a", "0", "m"], ["1", "x/(a*m)", "m/a"]))
     inv = brackets.invert_matrix(m)
     one, zero = parse_expr("1"), parse_expr("0")
     for i in range(3):
@@ -182,6 +182,12 @@ def test_reduce_idempotent():
                  "(z*p_z + x*p_x)^2 / a^2"):
         r = reduce_on_shell(parse_expr(text))
         assert reduce_on_shell(r) == r
+
+
+def test_reduce_refuses_a_constraint_in_the_denominator():
+    # z^2 -> x^2 + y^2 + a^2 would leave a denominator that is not a monomial
+    with pytest.raises(ExprError):
+        reduce_on_shell(parse_expr("1/z^2"))
 
 
 def _numeric_env(rng):

@@ -119,7 +119,13 @@ def test_simulate_bad_dt_usage_error(capsys):
                  # 1/(m a^2) overflows, and so does m a^2
                  ["simulate", "--a", "1e-300", "--T", "1", "--dt", "0.1"],
                  ["simulate", "--a", "1e200", "--T", "1", "--dt", "0.1"],
-                 ["verify", "--a", "1e200"]):
+                 ["verify", "--a", "1e200"],
+                 # grids beyond the point budget, refused before any array
+                 ["spectrum", "--grid-h", "1e-320", "--lam", "1", "--n", "0"],
+                 ["verify", "--grid-h", "1e-320"],
+                 ["verify", "--grid-h", "1e-6"],
+                 ["spectrum", "--grid-h", "1e-7", "--lam", "1", "--n", "0"],
+                 ["spectrum", "--n-phi", "1048576", "--lam", "1", "--n", "0"]):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert "error" in err

@@ -86,6 +86,8 @@ def test_validation():
         RunConfig(m=1e-300, a=1e-10)
     with pytest.raises(ConfigError, match="m a"):
         RunConfig(a=1e200)       # m a^2 overflows, 1/(m a^2) is 0
+    with pytest.raises(ConfigError, match="inf points"):
+        RunConfig(h=1e-320)      # the point count overflows to inf
 
 
 def test_to_dict_roundtrip():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperboloid.expr import (
-    DivisionByZeroExpr, ParseError, PhaseExpr, Poly, parse_expr,
+    DivisionByZeroExpr, ExprError, ParseError, PhaseExpr, Poly, parse_expr,
 )
 
 
@@ -66,6 +66,17 @@ def test_rational_normal_form_unique():
     b = parse_expr("x + y")
     assert a == b
     assert str(a) == str(b)
+    # the monomial gcd x first, then the exact division by y + 1
+    assert parse_expr("(x*y + x)/(x*y + x)") == parse_expr("1")
+    # a monomial times an exact divisor leaves the monomial
+    assert str(parse_expr("(a*x^2 - a*y^2)/(a*m*x - a*m*y)")) == "(x + y)/m"
+
+
+def test_non_monomial_denominator_must_divide():
+    with pytest.raises(ExprError, match="a \\+ 1"):
+        parse_expr("x/(a + 1)")
+    with pytest.raises(ExprError):
+        parse_expr("(x*y + x)/(x*y + y)")
 
 
 def test_denominator_sign_normalized():
@@ -93,15 +104,18 @@ def test_diff():
 
 
 def test_subs_in_numerator_and_denominator():
-    e = parse_expr("(x^2 + y)/(x - a)")
+    e = parse_expr("(x^2 + y + 1)/(a*x)")
     value = parse_expr("(y + 1)/m")
     out = e.subs("x", value)
-    # ((y+1)^2/m^2 + y)/((y+1)/m - a), one factor of m cancelled by hand
-    assert out == parse_expr("((y + 1)^2 + y*m^2)/(m*(y + 1 - a*m))")
+    # ((y+1)^2/m^2 + y + 1)/(a*(y+1)/m): y + 1 and one factor of m cancel
+    assert out == parse_expr("(y + 1 + m^2)/(a*m)")
     for y, a, m in ((Fraction(1, 3), Fraction(2), Fraction(5, 7)),
                     (Fraction(-4), Fraction(1, 2), Fraction(3))):
         env = {"y": y, "a": a, "m": m}
         assert out.eval(env) == e.eval({**env, "x": value.eval(env)})
+    # without the cancellation, y + 1 would stay in the denominator
+    with pytest.raises(ExprError):
+        parse_expr("(x^2 + y)/(a*x)").subs("x", value)
 
 
 names = st.sampled_from(["x", "y", "z", "p_x", "p_y", "p_z", "a", "m"])
