@@ -2,8 +2,8 @@
 
 Everything here is exact symbolic computation on PhaseExpr values.  The
 canonical pairs are (x, p_x), (y, p_y), (z, p_z) and (lam, p_lam); the
-Minkowski metric diag(1, 1, -1) enters through index raising/lowering of
-the coordinate and momentum triples.
+metric and the epsilon symbol are geometry.METRIC and geometry.EPS, each
+entry taken as an exact int.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expr import PhaseExpr, Poly, parse_expr
+from .geometry import EPS, METRIC
 
 CANONICAL_PAIRS = (("x", "p_x"), ("y", "p_y"), ("z", "p_z"), ("lam", "p_lam"))
 
-# metric diag(1,1,-1); index i in {1,2,3} maps to coordinates (x,y,z)
-METRIC = (1, 1, -1)
+# index i in {1,2,3} maps to coordinates (x,y,z)
 COORD_NAMES = ("x", "y", "z")
 MOMENTUM_NAMES = ("p_x", "p_y", "p_z")
 
@@ -33,25 +33,6 @@ def poisson(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
     return out
 
 
-def _perm_sign(i, j, k):
-    if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        return 1
-    if (i, j, k) in ((3, 2, 1), (1, 3, 2), (2, 1, 3)):
-        return -1
-    return 0
-
-
-def eps_lower(i, j, k, flip_sign=False):
-    """epsilon_{ijk} with epsilon_{123} = 1 (indices 1..3)."""
-    s = _perm_sign(i, j, k)
-    return -s if flip_sign else s
-
-
-def eps_upper(i, j, k, flip_sign=False):
-    """epsilon^{ijk} with epsilon^{123} = -1."""
-    return -eps_lower(i, j, k, flip_sign=flip_sign)
-
-
 def coord(i: int) -> PhaseExpr:
     """x^i (upper index), i in 1..3."""
     return PhaseExpr.var(COORD_NAMES[i - 1])
@@ -59,7 +40,7 @@ def coord(i: int) -> PhaseExpr:
 
 def coord_lower(i: int) -> PhaseExpr:
     """x_i = g_{ij} x^j."""
-    return PhaseExpr.const(METRIC[i - 1]) * coord(i)
+    return PhaseExpr.const(int(METRIC[i - 1])) * coord(i)
 
 
 def momentum(i: int) -> PhaseExpr:
@@ -67,19 +48,25 @@ def momentum(i: int) -> PhaseExpr:
     return PhaseExpr.var(MOMENTUM_NAMES[i - 1])
 
 
-def angular_j(i: int, flip_sign=False) -> PhaseExpr:
-    """J^i = -epsilon^{ijk} x_j p_k."""
+def eps_contract(i: int, u, v, eps=EPS) -> PhaseExpr:
+    """epsilon_{ijk} u(j) v(k), summed over j, k in 1..3; v(k) is not
+    called where epsilon or u(j) is zero."""
     out = PhaseExpr.const(0)
     for j in range(1, 4):
         for k in range(1, 4):
-            s = eps_upper(i, j, k, flip_sign=flip_sign)
-            if s:
-                out = out - PhaseExpr.const(s) * coord_lower(j) * momentum(k)
+            s = int(eps[i - 1, j - 1, k - 1])
+            if s and (uj := u(j)):
+                out = out + PhaseExpr.const(s) * uj * v(k)
     return out
 
 
-def angular_j_lower(i: int, flip_sign=False) -> PhaseExpr:
-    return PhaseExpr.const(METRIC[i - 1]) * angular_j(i, flip_sign=flip_sign)
+def angular_j(i: int) -> PhaseExpr:
+    """J^i = -epsilon^{ijk} x_j p_k = epsilon_{ijk} x_j p_k."""
+    return eps_contract(i, coord_lower, momentum)
+
+
+def angular_j_lower(i: int) -> PhaseExpr:
+    return PhaseExpr.const(int(METRIC[i - 1])) * angular_j(i)
 
 
 def extended_hamiltonian() -> PhaseExpr:
@@ -338,11 +325,10 @@ def verify_iso12(bm: BracketMatrix, flip_epsilon_sign: bool = False) -> Iso12Rep
     """Check the full Dirac-bracket algebra of (x^i, J^i) symbolically.
 
     Each operand's constraint vector is computed once and shared by all
-    the brackets it enters.  flip_epsilon_sign injects a deliberate sign
-    error into the epsilon tensor (negative-control hook for the
-    verification CLI).
+    the brackets it enters.  flip_epsilon_sign negates epsilon in the
+    expected laws (negative-control hook for the verification CLI).
     """
-    flip = flip_epsilon_sign
+    eps = -EPS if flip_epsilon_sign else EPS
     report = Iso12Report()
 
     def add(name, residual):
@@ -363,24 +349,20 @@ def verify_iso12(bm: BracketMatrix, flip_epsilon_sign: bool = False) -> Iso12Rep
 
     a2 = parse_expr("a^2")
 
-    def minus_eps(i, j, v):
-        """-eps^{ijk} v(k), summed over k."""
-        out = PhaseExpr.const(0)
-        for k in range(1, 4):
-            s = eps_upper(i, j, k, flip_sign=flip)
-            if s:
-                out = out - PhaseExpr.const(s) * v(k)
-        return out
+    def delta(j):
+        return lambda k: int(k == j)
 
-    # (left, right, law, expected {left^i, right^j}_M)
+    # (left, right, law, expected {left^i, right^j}_M); the J laws are
+    # -epsilon^{ijk} v_k = epsilon_{ijk} v_k
     pair_laws = (
         ("x", "x", "0", lambda i, j: PhaseExpr.const(0)),
         ("x", "p", "delta+xx/a^2",
          lambda i, j: coord(i) * coord_lower(j) / a2 + (1 if i == j else 0)),
         ("p", "p", "(xp-xp)/a^2",
          lambda i, j: (coord_lower(i) * momentum(j) - coord_lower(j) * momentum(i)) / a2),
-        ("J", "x", "-eps*x", lambda i, j: minus_eps(i, j, coord_lower)),
-        ("J", "J", "-eps*J", lambda i, j: reduce_on_shell(minus_eps(i, j, angular_j_lower))),
+        ("J", "x", "-eps*x", lambda i, j: eps_contract(i, delta(j), coord_lower, eps)),
+        ("J", "J", "-eps*J", lambda i, j: reduce_on_shell(
+            eps_contract(i, delta(j), angular_j_lower, eps))),
     )
     for left, right, law, expected in pair_laws:
         for i in range(1, 4):
@@ -395,13 +377,7 @@ def verify_iso12(bm: BracketMatrix, flip_epsilon_sign: bool = False) -> Iso12Rep
 
     # momentum recovery p_i = eps_{ijk} x^j J^k / a^2 on-shell
     for i in range(1, 4):
-        rec = PhaseExpr.const(0)
-        for j in range(1, 4):
-            for k in range(1, 4):
-                s = eps_lower(i, j, k, flip_sign=flip)
-                if s:
-                    rec = rec + PhaseExpr.const(s) * operands[f"x{j}"] * operands[f"J{k}"]
-        rec = rec / a2
+        rec = eps_contract(i, coord, angular_j, eps) / a2
         add(f"p{i}=eps*x*J/a^2", reduce_on_shell(rec - momentum(i)))
 
     return report

@@ -94,23 +94,17 @@ def hamiltonian(p, m: float):
 
     p may be one state or a stack of them along the leading axes.
     """
-    p = np.asarray(p)
-    return (p[..., 0] ** 2 + p[..., 1] ** 2 - p[..., 2] ** 2) / (2 * m)
+    return inner(p, p) / (2 * m)
 
 
 def angular_momenta(x, p) -> np.ndarray:
-    """J^i = -eps^{ijk} x_j p_k (eps_123 = 1 = -eps^123), lower-index p."""
-    x, p = np.asarray(x), np.asarray(p)
-    return np.stack([
-        x[..., 1] * p[..., 2] + x[..., 2] * p[..., 1],
-        -x[..., 2] * p[..., 0] - x[..., 0] * p[..., 2],
-        x[..., 0] * p[..., 1] - x[..., 1] * p[..., 0],
-    ], axis=-1)
+    """J^i = -eps^{ijk} x_j p_k = (x_lower cross p)_i, lower-index p."""
+    return np.cross(geometry.lower(x), p)
 
 
 def hamiltonian_from_j(j, m: float, a: float) -> float:
     """H = J^i J_i / (2 m a^2)."""
-    return (j[0] ** 2 + j[1] ** 2 - j[2] ** 2) / (2 * m * a * a)
+    return inner(j, j) / (2 * m * a * a)
 
 
 def eom_embedded(y, m: float, a: float, psq=None) -> np.ndarray:
@@ -173,7 +167,9 @@ def integrate_embedded(
     The state is carried in extended precision and the conserved p.p is
     evaluated once at the initial time: the components grow like
     cosh(t), so re-deriving p.p (or the constraint residuals) from them
-    in double precision loses all significance by t ~ 10.
+    in double precision loses all significance by t ~ 10.  The first
+    state that is not finite (a step too large for the flow) ends the
+    run as its last sample and sets the drift warning.
     """
     if dt <= 0:
         raise SimulationError(f"dt must be positive, got {dt}")
@@ -188,9 +184,13 @@ def integrate_embedded(
     drift_warning = False
     pscale = max(np.abs(y[3:]).max(), 1.0)
     for k in range(n_steps + 1):
-        if k % sample_every == 0 or k == n_steps:
+        blown_up = not np.isfinite(y).all()
+        if blown_up or k % sample_every == 0 or k == n_steps:
             ts.append(s0.t + k * dt)
             ys.append(y)
+        if blown_up:
+            drift_warning = True
+            break
         if not projection:
             x, p = y[:3], y[3:]
             # a NaN residual warns too: it is not <= its bound

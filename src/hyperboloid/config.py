@@ -14,6 +14,9 @@ class ConfigError(Exception):
 # (theta, phi) points a grid may hold: 45 times the default 2901 x 16, 32 MiB a field
 GRID_POINTS_MAX = 1 << 21
 
+# RK4 steps T / dt a run may take: about 100 times the default 10^4
+STEPS_MAX = 1 << 20
+
 
 # the JSON value types each field annotation accepts
 _JSON_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,),
@@ -55,9 +58,15 @@ class RunConfig:
         if not (0 < ma2 < math.inf and 1 / ma2 < math.inf):
             raise ConfigError(
                 f"m a^2 and 1/(m a^2) must be finite, got m = {self.m}, a = {self.a}")
+        # a float count, so T = 1e300 with dt = 1e-300 gives inf, refused
+        # before round() would overflow
+        steps = self.T / self.dt
+        if not steps <= STEPS_MAX:
+            raise ConfigError(f"T = {self.T} with dt = {self.dt} is {steps:.3g} steps, "
+                              f"more than {STEPS_MAX}")
         # a T that is not a whole number of steps would be cut short or overshot
-        steps = round(self.T / self.dt)
-        if steps < 1 or abs(self.T / self.dt - steps) > 1e-9 * steps:
+        n = round(steps)
+        if n < 1 or abs(steps - n) > 1e-9 * n:
             raise ConfigError(f"T = {self.T} is not a whole number of dt = {self.dt} steps")
         if not (math.isfinite(self.theta_max) and self.theta_max > self.theta_min):
             raise ConfigError("theta_max must be finite and exceed theta_min")

@@ -13,7 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The index conventions of the whole package (Henneaux & Teitelboim,
+# Quantization of Gauge Systems, ch. 1-2); index i in 1..3 is slot i-1.
+# eta = diag(1, 1, -1), its own inverse
 METRIC = np.array([1.0, 1.0, -1.0])
+
+# epsilon_{ijk} with lower indices and epsilon_{123} = +1, so that
+# epsilon_{ijk} u^j v^k = (u x v)_i; raising all three indices with eta
+# gives epsilon^{ijk} = -epsilon_{ijk}
+EPS = np.array([[[(i - j) * (j - k) * (k - i) // 2 for k in range(3)]
+                 for j in range(3)] for i in range(3)])
+
+# grid.apply_j(i) is J_SIGN times the quantized J^i = -epsilon^{ijk} x_j p_k
+# of the Dirac table, whose J^3 = -i hbar d/dphi
+J_SIGN = -1
 
 
 class ChartError(Exception):
@@ -113,21 +126,12 @@ def killing_pushforward(p: ChartPoint, a: float) -> np.ndarray:
 
 
 def ambient_killing(i: int, v) -> np.ndarray:
-    """The ambient rotation/boost generator eps^{ikl} x_k d/dx^l at v.
+    """The coefficients of d/dx^l in {x^l, J^i} = epsilon_{ikl} x_k at v.
 
-    Returns the coefficient vector of d/dx^l.  The epsilon sign here is
-    fixed so the field matches the pushforward of the chart Killing
-    fields (eps^{123} = +1 in this formula).
+    This is the ambient rotation/boost generator, the pushforward of the
+    chart Killing field K_(i).
     """
-    v = np.asarray(v, dtype=float)
-    xl = lower(v)
-    out = np.zeros(3)
-    eps = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-           (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1}
-    for (ii, k, l), s in eps.items():
-        if ii == i:
-            out[l - 1] += s * xl[k - 1]
-    return out
+    return lower(np.asarray(v, dtype=float)) @ EPS[i - 1]
 
 
 def scalar_curvature(a: float, theta: float = 1.0, h: float = 1e-4) -> float:

@@ -9,8 +9,10 @@ generators are the Killing fields times i*hbar:
     J2 = i hbar (-cos(phi) d_theta + sin(phi) coth(theta) d_phi)
     J3 = i hbar d_phi
 
-and the Hamiltonian is -hbar^2/(2 m a^2) times the Laplace-Beltrami
-operator of the induced metric.
+These are J_SIGN times the quantized J^i of the Dirac table
+(geometry.J_SIGN = -1): the table's J^3 = x p_y - y p_x quantizes to
+-i hbar d_phi.  The Hamiltonian is -hbar^2/(2 m a^2) times the
+Laplace-Beltrami operator of the induced metric.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .conical import (
     N_MAX_DEFAULT, ConicalError, complex_gamma, energy, normalization,
     profile_row, radial_profiles,
 )
+from .geometry import EPS, J_SIGN, METRIC
 
 
 class GridError(Exception):
@@ -163,38 +166,33 @@ def apply_p(i: int, grid: Grid, f, a: float = 1.0, hbar: float = 1.0,
             drop_hermitian_term: bool = False):
     """p_i f = (1/a^2) eps_{ijk} x^j (J^k f) - (i hbar/a^2) x_i f.
 
-    The x term is the symmetrization correction that makes p_i hermitian;
+    J^k is the quantized generator, J_SIGN * apply_j(k), and x_i the
+    lowered embedding coordinate (x_3 = -z).  The x term is the
+    symmetrization correction that makes p_i hermitian;
     drop_hermitian_term omits it (negative control, breaks hermiticity).
-    x_i is the lowered embedding coordinate (x_3 = -z).  The epsilon
-    orientation (eps_{123} = -1 here) is fixed empirically: it is the
-    choice that reproduces [x^i, p_j] = i hbar (delta^i_j + x^i x_j/a^2)
-    on the grid, given J^i = i hbar K_(i).
     """
     x = grid.embedding(a)
-    jj, kk = {1: (2, 3), 2: (3, 1), 3: (1, 2)}[i]
-    out = -(x[jj - 1] * apply_j(kk, grid, f, hbar)
-            - x[kk - 1] * apply_j(jj, grid, f, hbar)) / (a * a)
+    out = J_SIGN * sum(EPS[i - 1, j, k] * x[j] * apply_j(k + 1, grid, f, hbar)
+                       for j in range(3) for k in range(3) if EPS[i - 1, j, k]) / (a * a)
     if not drop_hermitian_term:
-        x_low = x[i - 1] if i < 3 else -x[2]
+        x_low = METRIC[i - 1] * x[i - 1]
         out = out - 1j * hbar / (a * a) * x_low * np.asarray(f, dtype=complex)
     return out
 
 
 def apply_h_via_j(grid: Grid, f, a: float = 1.0, m: float = 1.0,
                   hbar: float = 1.0):
-    """H f = J^i J_i f / (2 m a^2) with J_i = (J1, J2, -J3)."""
-    total = apply_j(1, grid, apply_j(1, grid, f, hbar), hbar)
-    total = total + apply_j(2, grid, apply_j(2, grid, f, hbar), hbar)
-    total = total - apply_j(3, grid, apply_j(3, grid, f, hbar), hbar)
+    """H f = J^i J_i f / (2 m a^2), J_i = METRIC[i] J^i."""
+    total = sum(METRIC[i - 1] * apply_j(i, grid, apply_j(i, grid, f, hbar), hbar)
+                for i in range(1, 4))
     return total / (2 * m * a * a)
 
 
 def casimir_xj(grid: Grid, f, a: float = 1.0, hbar: float = 1.0):
     """x^j J_j f, zero in the continuum (second Casimir constraint)."""
     x = grid.embedding(a)
-    return (x[0] * apply_j(1, grid, f, hbar)
-            + x[1] * apply_j(2, grid, f, hbar)
-            - x[2] * apply_j(3, grid, f, hbar))
+    return sum(METRIC[j - 1] * x[j - 1] * apply_j(j, grid, f, hbar)
+               for j in range(1, 4))
 
 
 # -- eigenfunctions -----------------------------------------------------

@@ -339,12 +339,13 @@ def checks_spectral(cfg: RunConfig, faults: tuple) -> list:
     fscale = _worst(np.abs(f))
 
     def closure_worst(grid, ff):
-        def defect(i, j, k, s):
+        # [J^i, J^j] = i hbar eps_{ijk} J_k for the quantized J = J_SIGN * apply_j
+        def defect(i, j, k):
+            s = 1j * geometry.EPS[i - 1, j - 1, k - 1] * geometry.METRIC[k - 1] * geometry.J_SIGN
             c = (apply_j(i, grid, apply_j(j, grid, ff, hbar), hbar)
                  - apply_j(j, grid, apply_j(i, grid, ff, hbar), hbar))
             return np.abs(interior(grid, c - s * hbar * apply_j(k, grid, ff, hbar), 2))
-        return _worst([defect(*ijks) for ijks in
-                       ((1, 2, 3, 1j), (2, 3, 1, -1j), (3, 1, 2, -1j))])
+        return _worst([defect(*ijk) for ijk in ((1, 2, 3), (2, 3, 1), (3, 1, 2))])
 
     cl_c = closure_worst(g2, f)
     cl_f = closure_worst(g, _rich_test_function(g, cfg.seed + 3))

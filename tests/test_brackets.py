@@ -1,15 +1,17 @@
 """Poisson brackets, the constraint chain, and the Dirac-bracket algebra."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperboloid import brackets
+from hyperboloid import brackets, classical, geometry
 from hyperboloid.brackets import (
-    ConstraintError, angular_j, bracket_matrix, constraint_chain, coord,
-    dirac_bracket, extended_hamiltonian, is_zero_on_shell, momentum, poisson,
-    reduce_on_shell, verify_iso12,
+    MOMENTUM_NAMES, ConstraintError, angular_j, bracket_matrix,
+    constraint_chain, coord, dirac_bracket, extended_hamiltonian,
+    is_zero_on_shell, momentum, poisson, reduce_on_shell, verify_iso12,
 )
 from hyperboloid.expr import ExprError, PhaseExpr, parse_expr
 
@@ -264,6 +266,35 @@ def test_dirac_j3_x(bm):
     assert dirac_bracket(angular_j(3), coord(1), bm) == parse_expr("y")
     assert dirac_bracket(angular_j(3), coord(2), bm) == parse_expr("-x")
     assert dirac_bracket(angular_j(3), coord(3), bm).is_zero()
+
+
+# on-shell points at a = 1 (x.x = -1 and x^i p_i = 0); the entries are
+# dyadic, so the float arithmetic of classical and geometry is exact there
+EXACT_POINTS = (
+    ((2, 2, 3), (Fraction(3, 2), 0, -1)),
+    ((4, -8, 9), (Fraction(3, 8), Fraction(3, 4), Fraction(1, 2))),
+)
+
+
+def _env(x, p):
+    return dict(zip(("x", "y", "z") + MOMENTUM_NAMES, x + p))
+
+
+def test_classical_j_is_the_dirac_table_j():
+    for x, p in EXACT_POINTS:
+        j = classical.angular_momenta(np.array(x, dtype=float), np.array(p, dtype=float))
+        for i in range(1, 4):
+            assert j[i - 1] == angular_j(i).eval(_env(x, p)), (x, p, i)
+
+
+def test_ambient_killing_is_the_bracket_with_j():
+    # {x^l, J^i} = dJ^i/dp_l
+    for x, p in EXACT_POINTS:
+        for i in range(1, 4):
+            k = geometry.ambient_killing(i, np.array(x, dtype=float))
+            for l in range(1, 4):
+                assert k[l - 1] == angular_j(i).diff(MOMENTUM_NAMES[l - 1]).eval(
+                    _env(x, p)), (x, i, l)
 
 
 def test_full_iso12_report(bm):

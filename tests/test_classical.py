@@ -121,6 +121,17 @@ def test_drift_warning_without_projection():
     assert rec.drift_warning
 
 
+def test_first_non_finite_state_ends_the_run():
+    # RK4 at dt = 1 leaves the flow; the run stops instead of going on over NaN
+    for projection in (True, False):
+        with np.errstate(all="ignore"):
+            rec = integrate_embedded(EmbeddedState(APEX.copy(), PX.copy()), 1, 1,
+                                     1.0, 10000.0, projection=projection)
+        finite = np.isfinite(np.hstack((rec.x, rec.p))).all(axis=1)
+        assert rec.drift_warning and len(rec.t) < 10
+        assert finite[:-1].all() and not finite[-1]
+
+
 def test_negative_dt_rejected():
     with pytest.raises(SimulationError):
         integrate_embedded(EmbeddedState(APEX, PX), 1, 1, -1e-3, 1.0)

@@ -125,7 +125,10 @@ def test_simulate_bad_dt_usage_error(capsys):
                  ["verify", "--grid-h", "1e-320"],
                  ["verify", "--grid-h", "1e-6"],
                  ["spectrum", "--grid-h", "1e-7", "--lam", "1", "--n", "0"],
-                 ["spectrum", "--n-phi", "1048576", "--lam", "1", "--n", "0"]):
+                 ["spectrum", "--n-phi", "1048576", "--lam", "1", "--n", "0"],
+                 # T / dt beyond the step budget, also when it overflows to inf
+                 ["simulate", "--T", "1e9", "--dt", "1e-3"],
+                 ["simulate", "--T", "1e300", "--dt", "1e-300"]):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert "error" in err
@@ -235,6 +238,8 @@ def test_spectrum_coarse_grid_exceeds_tolerance(capsys):
                  ["simulate", "--m", "1e-300", "--T", "1", "--dt", "0.1"],
                  ["simulate", "--no-projection", "--m", "1e-300", "--T", "1",
                   "--dt", "0.1"],
+                 # the state stops being finite at t = 6, which ends the run
+                 ["simulate", "--T", "10000", "--dt", "1"],
                  # the closed-form reference geodesic overflows
                  ["verify", "--a", "1e-100"]):
         with np.errstate(all="ignore"):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hyperboloid.config import ConfigError, RunConfig
+from hyperboloid.config import STEPS_MAX, ConfigError, RunConfig
 
 
 def test_defaults():
@@ -88,6 +88,15 @@ def test_validation():
         RunConfig(a=1e200)       # m a^2 overflows, 1/(m a^2) is 0
     with pytest.raises(ConfigError, match="inf points"):
         RunConfig(h=1e-320)      # the point count overflows to inf
+
+
+def test_step_budget():
+    assert RunConfig().T / RunConfig().dt * 100 <= STEPS_MAX
+    RunConfig(T=STEPS_MAX * 0.5, dt=0.5)
+    with pytest.raises(ConfigError, match="steps"):
+        RunConfig(T=(STEPS_MAX + 1) * 0.5, dt=0.5)
+    with pytest.raises(ConfigError, match="inf steps"):
+        RunConfig(T=1e300, dt=1e-300)     # T / dt overflows to inf
 
 
 def test_to_dict_roundtrip():

@@ -157,6 +157,16 @@ def test_scalar_curvature():
         assert scalar_curvature(a) == pytest.approx(-2 / a ** 2, rel=1e-5)
 
 
+def test_index_conventions():
+    u, v = np.array([1.0, 2.0, 3.0]), np.array([-2.0, 0.5, 4.0])
+    # eps_{ijk} u^j v^k is the cross product, eps_{123} = +1
+    assert np.array_equal(np.einsum("ijk,j,k->i", geometry.EPS, u, v), np.cross(u, v))
+    # raising all three indices with the metric negates it
+    eta = geometry.METRIC
+    assert np.array_equal(np.einsum("ijk,i,j,k->ijk", geometry.EPS, eta, eta, eta),
+                          -geometry.EPS)
+
+
 def test_lower_and_inner():
     u = np.array([1.0, 2.0, 3.0])
     assert np.allclose(lower(u), [1, 2, -3])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyperboloid.conical import energy
+from hyperboloid.geometry import J_SIGN
 from hyperboloid.grid import (
     Grid, GridError, SpectralMode, apply_h_via_j, apply_j, apply_p, bump,
     casimir_xj, eigen_residual, gamma_identity_error, inner_product, interior,
@@ -163,6 +164,15 @@ def test_j3_eigenvalue():
     psi = sample_mode(GRID, SpectralMode(1.0, 2))
     out = apply_j(3, GRID, psi)
     assert np.max(np.abs(out + 2.0 * psi)) < 1e-10 * np.max(np.abs(psi))
+
+
+def test_j3_is_j_sign_times_quantized_j3():
+    # the Dirac table's J3 = x p_y - y p_x quantizes to -i hbar d_phi, so
+    # it takes n hbar on e^{i n phi}
+    for n, hbar in ((1, 1.0), (-3, 0.7)):
+        f = bump(GRID, 1.5, 0.3, n)
+        out = J_SIGN * apply_j(3, GRID, f, hbar)
+        assert np.max(np.abs(out - n * hbar * f)) < 1e-12 * np.max(np.abs(f))
 
 
 def test_mode_energy():
