@@ -95,6 +95,18 @@ def _load_config(args) -> RunConfig:
     return RunConfig.from_file(args.config, **overrides)
 
 
+def _json(doc, **kwargs) -> str:
+    """JSON text with every non-finite float written as null (RFC 8259 has
+    no NaN or Infinity); allow_nan=False makes a missed one raise."""
+    def clean(v):
+        if isinstance(v, dict):
+            return {k: clean(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [clean(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps(clean(doc), allow_nan=False, **kwargs)
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -169,7 +181,7 @@ def cmd_derive(args, cfg: RunConfig) -> int:
     rep = build_derive_report()
     fmt = args.format or "text"
     if fmt == "json":
-        _emit(json.dumps(rep, indent=2) + "\n", cfg.out)
+        _emit(_json(rep, indent=2) + "\n", cfg.out)
     else:
         _emit(_derive_text(rep), cfg.out)
     return EXIT_VERIFY_FAIL if rep["identities_failed"] else EXIT_OK
@@ -198,8 +210,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
                 and drift["max_J_drift"] <= cfg.tol_drift)
     failed = rec.drift_warning or (cfg.projection and over)
     if args.format == "json":
-        sys.stderr.write(json.dumps({"initial_state_adjustment": adjust, **drift,
-                                     "tolerance_exceeded": failed}) + "\n")
+        sys.stderr.write(_json({"initial_state_adjustment": adjust, **drift,
+                                 "tolerance_exceeded": failed}) + "\n")
     else:
         sys.stderr.write(f"initial-state adjustment: {adjust:.3e}\n" + "".join(
             f"{k.replace('_', ' ')}: {v:.3e}\n" for k, v in drift.items()))
@@ -270,7 +282,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         lines.append("result: " + ("PASS" if doc["passed"] else "FAIL"))
         _emit("\n".join(lines) + "\n", cfg.out)
     else:
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+        _emit(_json(doc, indent=2) + "\n", cfg.out)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 

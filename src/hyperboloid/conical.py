@@ -160,11 +160,14 @@ def _gauss_blocks(integrate, lam: float, theta: np.ndarray, orders: np.ndarray):
 
 def _mehler_dirichlet(lam, theta, nodes, weights):
     # P^0 = (2/pi) int_0^theta cos(lam t) / sqrt(2 cosh theta - 2 cosh t) dt;
-    # the substitution t = theta - u^2 removes the endpoint singularity
+    # the substitution t = theta - u^2 removes the endpoint singularity;
+    # 2 cosh theta - 2 cosh t = 4 sinh((theta + t)/2) sinh(u^2/2) exactly,
+    # and the product form does not cancel where t nears theta
     b = np.sqrt(theta)
     u = 0.5 * b * (nodes + 1.0)
     t = theta - u * u
-    vals = 2 * u * np.cos(lam * t) / np.sqrt(2 * np.cosh(theta) - 2 * np.cosh(t))
+    vals = 2 * u * np.cos(lam * t) / np.sqrt(
+        4 * np.sinh((theta + t) / 2) * np.sinh(u * u / 2))
     return 2 / math.pi * 0.5 * b[:, 0] * (vals * weights).sum(axis=1)
 
 

@@ -126,24 +126,26 @@ def interior(grid: Grid, f, margin: int = 1):
     return f[margin:-margin]
 
 
+def _lap_theta(grid: Grid, f):
+    """(1/sinh) d_th sinh d_th f along axis 0 of an (n_theta, k) array.
+
+    Conservative stencil: the half-point difference of sinh(theta) d_theta f,
+    summation-by-parts hermitian under inner_product.  Dirichlet (ghost
+    zero) at both theta ends.
+    """
+    th, dh = grid.theta[:, None], 0.5 * grid.h
+    sh, sh_plus, sh_minus = np.sinh(th), np.sinh(th + dh), np.sinh(th - dh)
+    f = np.asarray(f, dtype=complex)
+    up = np.vstack([f[1:], np.zeros((1, f.shape[1]))])
+    down = np.vstack([np.zeros((1, f.shape[1])), f[:-1]])
+    return (sh_plus * (up - f) - sh_minus * (f - down)) / (grid.h ** 2 * sh)
+
+
 def laplace_beltrami(grid: Grid, f, a: float = 1.0, m: float = 1.0,
                      hbar: float = 1.0):
-    """H f = -hbar^2/(2 m a^2) (1/sinh d_th sinh d_th + 1/sinh^2 d_phi^2) f.
-
-    Conservative theta stencil: difference of sinh(theta) d_theta f
-    evaluated at half-points, which gives summation-by-parts hermiticity
-    under inner_product.  Dirichlet (ghost zero) at both theta ends.
-    """
-    th = grid.theta
-    sh = np.sinh(th)[:, None]
-    sh_plus = np.sinh(th + 0.5 * grid.h)[:, None]
-    sh_minus = np.sinh(th - 0.5 * grid.h)[:, None]
-    f = np.asarray(f, dtype=complex)
-    up = np.vstack([f[1:], np.zeros((1, grid.n_phi))])
-    down = np.vstack([np.zeros((1, grid.n_phi)), f[:-1]])
-    lap_th = (sh_plus * (up - f) - sh_minus * (f - down)) / (grid.h ** 2 * sh)
-    lap_ph = _d2_phi(grid, f) / (sh * sh)
-    return -(hbar * hbar) / (2 * m * a * a) * (lap_th + lap_ph)
+    """H f = -hbar^2/(2 m a^2) (1/sinh d_th sinh d_th + 1/sinh^2 d_phi^2) f."""
+    lap_ph = _d2_phi(grid, f) / np.sinh(grid.theta)[:, None] ** 2
+    return -(hbar * hbar) / (2 * m * a * a) * (_lap_theta(grid, f) + lap_ph)
 
 
 def apply_j(i: int, grid: Grid, f, hbar: float = 1.0):
@@ -215,10 +217,8 @@ class SpectralMode:
 
 
 def sample_modes(grid: Grid, lam: float, ns, normalized: bool = True):
-    """Yield psi^n_lam for each n in ns from one radial_profiles pass.
-
-    The profiles of every order up to max|n| come from a single call; each
-    psi is built from its row only when the caller asks for the next one.
+    """Yield N P^n_lam(cosh theta), psi^n_lam at phi = 0, as a complex
+    (n_theta, 1) column for each n in ns, from one radial_profiles pass.
     """
     ns = list(ns)
     for n in ns:
@@ -228,25 +228,27 @@ def sample_modes(grid: Grid, lam: float, ns, normalized: bool = True):
             raise ConicalError(f"|n| = {abs(n)} exceeds n_max = {N_MAX_DEFAULT}")
     profiles = radial_profiles(lam, max(abs(n) for n in ns), grid.theta)
     for n in ns:
-        f = profile_row(profiles, lam, n)[:, None] * np.exp(1j * n * grid.phi)[None, :]
+        f = profile_row(profiles, lam, n).astype(complex)[:, None]
         if normalized and lam > 0:
             f *= normalization(lam, n)
         yield f
 
 
 def sample_mode(grid: Grid, mode: SpectralMode) -> np.ndarray:
-    return next(sample_modes(grid, mode.lam, [mode.n], mode.normalized))
+    f = next(sample_modes(grid, mode.lam, [mode.n], mode.normalized))
+    return f * np.exp(1j * mode.n * grid.phi)[None, :]
 
 
 def eigen_residual(grid: Grid, mode: SpectralMode, a: float = 1.0,
                    m: float = 1.0, hbar: float = 1.0, psi=None) -> float:
-    """||H psi - E psi|| / ||psi|| over interior nodes.
+    """||H psi - E psi|| / ||psi|| over interior nodes, H radial (d_phi^2 = -n^2).
 
-    psi is the mode as sample_mode gives it; it is sampled when omitted.
+    psi is the column of sample_modes (sampled when omitted) or sample_mode's array.
     """
     if psi is None:
-        psi = sample_mode(grid, mode)
-    r = laplace_beltrami(grid, psi, a, m, hbar) - mode.energy(m, a, hbar) * psi
+        psi = next(sample_modes(grid, mode.lam, [mode.n], mode.normalized))
+    lap = _lap_theta(grid, psi) - mode.n ** 2 * psi / np.sinh(grid.theta)[:, None] ** 2
+    r = -(hbar * hbar) / (2 * m * a * a) * lap - mode.energy(m, a, hbar) * psi
     ri, pi = interior(grid, r), interior(grid, psi)
     igrid = Grid(grid.theta_min + grid.h, grid.theta_max - grid.h,
                  grid.n_theta - 2, grid.n_phi)

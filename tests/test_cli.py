@@ -170,8 +170,10 @@ def test_simulate_bad_p0(capsys):
 
 
 def test_spectrum_energies(capsys):
-    for ns in ("0", "-1,0"):
-        code, out, _ = run(capsys, "spectrum", "--grid-h", "0.002",
+    # h = 1e-4 passes too: the P^0 integrand no longer cancels, so the
+    # residual does not grow as the grid is refined
+    for h, ns in (("0.002", "0"), ("0.002", "-1,0"), ("1e-4", "0")):
+        code, out, _ = run(capsys, "spectrum", "--grid-h", h,
                            "--lam", "1", "--n", ns)
         assert code == EXIT_OK
         lines = out.splitlines()
@@ -218,6 +220,37 @@ def test_spectrum_calls_no_dense_eigensolver(tmp_path, capsys, monkeypatch):
         assert_pinned_spectrum(tmp_path, capsys)
     finally:
         conical._leggauss_table.cache_clear()
+
+
+def test_spectrum_makes_no_fft(tmp_path, capsys, monkeypatch):
+    # a single-n mode is radial: no phi transform, no (theta x phi) array
+    def refuse(*args, **kwargs):
+        raise AssertionError("FFT called")
+
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    assert_pinned_spectrum(tmp_path, capsys)
+
+
+def test_pinned_spectrum_matches_mpmath():
+    # the pin against N P^n_{-1/2+i lam}(cosh theta) at 30 digits, with
+    # N = sqrt(2 pi/(lam tanh(pi lam))) Gamma(1/2+i lam)/Gamma(1/2+n+i lam)
+    mpmath = pytest.importorskip("mpmath")
+    rows = [line.split(",") for line in SPECTRUM_CSV.read_text().splitlines()[1:]]
+    scale = {}
+    for r in rows:
+        key = (r[0], r[1])
+        scale[key] = max(scale.get(key, 0.0), abs(complex(float(r[3]), float(r[4]))))
+    with mpmath.workdps(30):
+        for r in rows[::3]:
+            lam, n, theta = mpmath.mpf(float(r[0])), int(r[1]), mpmath.mpf(float(r[2]))
+            norm = (mpmath.sqrt(2 * mpmath.pi / (lam * mpmath.tanh(mpmath.pi * lam)))
+                    * mpmath.gamma(mpmath.mpc(0.5, lam))
+                    / mpmath.gamma(mpmath.mpc(0.5 + n, lam)))
+            want = complex(norm * mpmath.legenp(mpmath.mpc(-0.5, lam), n,
+                                                mpmath.cosh(theta), type=3))
+            got = complex(float(r[3]), float(r[4]))
+            assert abs(got - want) <= 1e-13 * scale[(r[0], r[1])], r[:3]
 
 
 def test_spectrum_lam_zero_warns(capsys):
@@ -305,6 +338,23 @@ def test_verify_text_format(capsys):
                        "--format", "text")
     assert code == EXIT_OK
     assert out.strip().endswith("result: PASS")
+
+
+def test_non_finite_json_is_null(capsys):
+    # the state stops being finite at t = 6; NaN is not JSON (RFC 8259)
+    def refuse(token):
+        raise AssertionError(f"bare {token} in JSON")
+
+    with np.errstate(all="ignore"):
+        code, _, err = run(capsys, "simulate", "--T", "10000", "--dt", "1",
+                           "--format", "json")
+        assert code == EXIT_TOLERANCE
+        assert json.loads(err, parse_constant=refuse)["max_J_drift"] is None
+        code, out, _ = run(capsys, "verify", "--only", "classical_sim",
+                           "--T", "10000", "--dt", "1")
+        assert code == EXIT_VERIFY_FAIL
+        doc = json.loads(out, parse_constant=refuse)
+        assert None in [c["measured"] for c in doc["checks"]]
 
 
 # -- config plumbing ----------------------------------------------------

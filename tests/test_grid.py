@@ -159,6 +159,19 @@ def test_eigen_residual_second_order():
     assert abs(order - 2.0) < 0.3
 
 
+def test_radial_residual_matches_2d_residual():
+    # H on e^{i n phi} R is radial, and the phi sum cancels in the ratio
+    igrid = Grid(GRID.theta_min + GRID.h, GRID.theta_max - GRID.h,
+                 GRID.n_theta - 2, GRID.n_phi)
+    for lam in (0.0, 0.5, 1.0, 2.0):
+        for n in (-3, -1, 0, 1, 2, 5):
+            mode = SpectralMode(lam, n, normalized=lam > 0)
+            psi = sample_mode(GRID, mode)
+            r = laplace_beltrami(GRID, psi) - mode.energy() * psi
+            want = norm(igrid, interior(GRID, r)) / norm(igrid, interior(GRID, psi))
+            assert abs(eigen_residual(GRID, mode) - want) <= 1e-9 * want, (lam, n)
+
+
 def test_j3_eigenvalue():
     # psi^n has J3 psi = -n psi (J3 = i d_phi on e^{i n phi})
     psi = sample_mode(GRID, SpectralMode(1.0, 2))
