@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from os import PathLike
 
 import numpy as np
@@ -116,12 +115,29 @@ def eom_embedded(y, m: float, a: float, psq=None) -> np.ndarray:
     conserved, and evaluating it from components that grow like cosh(t)
     cancels catastrophically.
     """
-    x, p = y[:3], y[3:]
-    if psq is None:
-        psq = inner(p, p)  # inner() lowers one slot: p^i p_i
-    # the metric is its own inverse, so lower() also raises
-    return np.concatenate((geometry.lower(p) / m,
-                           psq / (m * a * a) * geometry.lower(x)))
+    y = np.asarray(y)
+    return _embedded_rhs(m, a, psq, y.dtype)(y)
+
+
+def _embedded_rhs(m: float, a: float, psq, dtype):
+    """eom_embedded as y -> y[swap] / (m, m, m, 1, 1, 1) * (g, c g), built once.
+
+    g = METRIC; c = p.p / (m a^2) is fixed by psq, or with psq None taken
+    from each state.  Lowering is an exact sign flip (and also raises), so
+    this is (lower(p) / m, c lower(x)) bit for bit.
+    """
+    swap = np.array([3, 4, 5, 0, 1, 2])  # (x, p) -> (p, x)
+    div = np.array([m, m, m, 1, 1, 1], dtype=np.result_type(dtype, m))
+
+    def scale(pp):
+        c = pp / (m * a * a)
+        return np.concatenate((geometry.METRIC, c * geometry.METRIC)).astype(
+            np.result_type(dtype, c))
+
+    if psq is None:  # inner() lowers one slot: p^i p_i
+        return lambda y: y[swap] / div * scale(inner(y[3:], y[3:]))
+    fixed = scale(psq)
+    return lambda y: y[swap] / div * fixed
 
 
 def project_embedded(x, p, a: float, noise_guard: bool = False):
@@ -133,9 +149,9 @@ def project_embedded(x, p, a: float, noise_guard: bool = False):
     like cosh(t), so the floor rises along a trajectory).
     """
     eps = float(np.finfo(np.asarray(x).dtype).eps)
-    c2 = inner(x, x) + a * a
-    if not noise_guard or abs(c2) > 64 * eps * float(np.dot(np.abs(x), np.abs(x))):
-        x = x * a / np.sqrt(-inner(x, x))
+    xx = inner(x, x)
+    if not noise_guard or abs(xx + a * a) > 64 * eps * float(np.dot(np.abs(x), np.abs(x))):
+        x = x * a / np.sqrt(-xx)
     # x^i p_i is a plain dot since p carries lower indices
     c3 = np.dot(x, p)
     if not noise_guard or abs(c3) > 64 * eps * float(np.dot(np.abs(x), np.abs(p))):
@@ -149,7 +165,8 @@ def _rk4_step(rhs, y, dt):
     k2 = rhs(y + 0.5 * dt * k1)
     k3 = rhs(y + 0.5 * dt * k2)
     k4 = rhs(y + dt * k3)
-    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    # k + k is 2 k exactly, and cheaper
+    return y + dt / 6 * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
 
 def integrate_embedded(
@@ -177,17 +194,20 @@ def integrate_embedded(
         tol_c = 1e-8 * a * a
     n_steps = int(round(T / dt))
     y = np.concatenate((s0.x, s0.p)).astype(np.longdouble)
-    # p^i p_i at t = 0, conserved on-shell
-    rhs = partial(eom_embedded, m=m, a=a,
-                  psq=inner(y[3:], y[3:]) if projection else None)
-    ts, ys = [], []
+    # with projection, p^i p_i is frozen at t = 0 (conserved on-shell)
+    rhs = _embedded_rhs(m, a, inner(y[3:], y[3:]) if projection else None,
+                        y.dtype)
+    # k = 0, sample_every, 2 sample_every, ... and the last step
+    ts = np.empty(-(-n_steps // sample_every) + 1)
+    ys = np.empty((len(ts), 6), dtype=y.dtype)
+    n = 0
     drift_warning = False
     pscale = max(np.abs(y[3:]).max(), 1.0)
     for k in range(n_steps + 1):
         blown_up = not np.isfinite(y).all()
         if blown_up or k % sample_every == 0 or k == n_steps:
-            ts.append(s0.t + k * dt)
-            ys.append(y)
+            ts[n], ys[n] = s0.t + k * dt, y
+            n += 1
         if blown_up:
             drift_warning = True
             break
@@ -202,8 +222,7 @@ def integrate_embedded(
         y = _rk4_step(rhs, y, dt)
         if projection:
             y = np.concatenate(project_embedded(y[:3], y[3:], a, noise_guard=True))
-    ys = np.array(ys)
-    return _make_record(np.array(ts), ys[:, :3], ys[:, 3:], m, a, drift_warning)
+    return _make_record(ts[:n], ys[:n, :3], ys[:n, 3:], m, a, drift_warning)
 
 
 def _make_record(ts, xs, ps, m, a, drift_warning=False, chart_exit=False):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -43,7 +44,14 @@ def inner(u, v):
 def lower(v):
     """Lower an index: v_i = g_ij v^j.  Preserves the input dtype."""
     v = np.asarray(v)
-    return v * METRIC.astype(v.dtype, copy=False)
+    return v * _metric_as(v.dtype)
+
+
+@cache
+def _metric_as(dtype) -> np.ndarray:
+    metric = METRIC.astype(dtype)
+    metric.flags.writeable = False  # one copy per dtype, shared by every call
+    return metric
 
 
 @dataclass(frozen=True)

@@ -217,3 +217,79 @@ def test_csv_roundtrip(tmp_path):
         j = angular_momenta(x, p)
         for i, col in enumerate(("J1", "J2", "J3")):
             assert j[i] == pytest.approx(float(r[col]), rel=1e-12, abs=1e-12)
+
+
+# -- bit identity of the embedded integrator ----------------------------
+# A literal reference step: four right-hand-side calls that each build
+# (lower(p) / m, p.p / (m a^2) lower(x)), and the projection written out
+# term by term.  The integrator must reproduce it bit for bit.
+
+def _frozen_eom(y, m, a, psq=None):
+    x, p = y[:3], y[3:]
+    if psq is None:
+        psq = inner(p, p)
+    return np.concatenate((geometry.lower(p) / m,
+                           psq / (m * a * a) * geometry.lower(x)))
+
+
+def _frozen_project(x, p, a, noise_guard):
+    eps = float(np.finfo(np.asarray(x).dtype).eps)
+    c2 = inner(x, x) + a * a
+    if not noise_guard or abs(c2) > 64 * eps * float(np.dot(np.abs(x), np.abs(x))):
+        x = x * a / np.sqrt(-inner(x, x))
+    c3 = np.dot(x, p)
+    if not noise_guard or abs(c3) > 64 * eps * float(np.dot(np.abs(x), np.abs(p))):
+        p = p - (c3 / inner(x, x)) * geometry.lower(x)
+    return x, p
+
+
+def _frozen_states(x0, p0, m, a, dt, n_steps, projection):
+    y = np.concatenate((x0, p0)).astype(np.longdouble)
+    psq = inner(y[3:], y[3:]) if projection else None
+    states = [y]
+    for _ in range(n_steps):
+        k1 = _frozen_eom(y, m, a, psq)
+        k2 = _frozen_eom(y + 0.5 * dt * k1, m, a, psq)
+        k3 = _frozen_eom(y + 0.5 * dt * k2, m, a, psq)
+        k4 = _frozen_eom(y + dt * k3, m, a, psq)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if projection:
+            y = np.concatenate(_frozen_project(y[:3], y[3:], a, noise_guard=True))
+        states.append(y)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("x0, p0, m, a, projection", [
+    (APEX, PX, 1.0, 1.0, True),
+    # the pinned off-shell start of the CLI test
+    (np.array([0.3, 0.2, 1.0630145812734648]), np.array([0.5, 0.1, 0.16]),
+     1.0, 1.0, True),
+    (np.array([0.0, 0.0, 1.3]), np.array([0.4, -0.9, 0.0]), 0.7, 1.3, True),
+    (APEX, np.array([0.6, 0.8, 0.0]), 1.0, 1.0, False),
+])
+def test_integrator_bit_identical_to_frozen_step(x0, p0, m, a, projection):
+    # both start from the float64 initial projection that simulate makes
+    xs, ps = project_embedded(x0, p0, a)
+    xr, pr = _frozen_project(x0, p0, a, noise_guard=False)
+    assert np.array_equal(xs, xr) and np.array_equal(ps, pr)
+    dt, n_steps = 5e-3, 2000
+    rec = integrate_embedded(EmbeddedState(xs, ps), m, a, dt, n_steps * dt,
+                             projection=projection)
+    got = np.hstack((rec.x, rec.p))
+    want = _frozen_states(xr, pr, m, a, dt, n_steps, projection)
+    assert got.dtype == want.dtype == np.longdouble
+    assert np.array_equal(got, want)
+
+
+def test_eom_embedded_bit_identical_to_frozen():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        m, a = rng.uniform(0.2, 3.0, size=2)
+        y = rng.normal(scale=5.0, size=6)
+        for state in (y, y.astype(np.longdouble)):
+            psq = inner(state[3:], state[3:])
+            for given in (None, psq, float(psq)):
+                got, want = (f(state, m, a, psq=given)
+                             for f in (eom_embedded, _frozen_eom))
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)

@@ -171,3 +171,20 @@ def test_lower_and_inner():
     u = np.array([1.0, 2.0, 3.0])
     assert np.allclose(lower(u), [1, 2, -3])
     assert inner(u, u) == pytest.approx(1 + 4 - 9)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.float32, np.int64])
+def test_lower_contract(dtype):
+    # the dtype is kept, (N, 3) stacks flip the last slot, the input is untouched
+    for shape in ((3,), (4, 3)):
+        v = np.arange(1, 1 + math.prod(shape)).reshape(shape).astype(dtype)
+        before = v.copy()
+        got = lower(v)
+        assert got.dtype == v.dtype and got.shape == v.shape
+        want = v.copy()
+        want[..., 2] = -want[..., 2]
+        assert np.array_equal(got, want)
+        assert np.array_equal(v, before)
+        assert np.array_equal(lower(got), v)   # the metric is its own inverse
+        got[..., 0] = 0                         # the result is a fresh array
+        assert np.array_equal(lower(v), want)
