@@ -288,7 +288,7 @@ def _dirac(a: PhaseExpr, a_vec: tuple, b: PhaseExpr, b_vec: tuple,
         if ac.is_zero():
             continue
         for j, bc in enumerate(b_vec):
-            if not bc.is_zero():
+            if not (bc.is_zero() or bm.inv_entry(i, j).is_zero()):
                 out = out + ac * bm.inv_entry(i, j) * bc
     return reduce_on_shell(out)
 

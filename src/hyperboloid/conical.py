@@ -2,11 +2,11 @@
 
 P^n_{i*lam - 1/2}(cosh theta) for integer order n, evaluated for all
 orders up to n_max and all theta in one pass (radial_profiles): a
-hypergeometric series at small theta, elsewhere a Mehler-Dirichlet
-integral at n = 0, a Laplace-type integral at n = 1 and an order-raising
-recurrence above.  The normalization factor of the energy eigenfunctions
-is a finite Pochhammer product; the Lanczos approximation for Gamma at
-complex argument serves the adaptive-quadrature oracles.
+hypergeometric series at small theta, elsewhere one Mehler-Dirichlet
+kernel at n = 0 and n = 1 and an order-raising recurrence above.  The
+normalization factor of the energy eigenfunctions is a finite Pochhammer
+product; the Lanczos approximation for Gamma at complex argument serves
+the adaptive-quadrature oracles.
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ def radial_profiles(lam: float, n_max: int, thetas) -> np.ndarray:
     Row n of the (n_max + 1, len(thetas)) result is order n.  Below
     SERIES_THETA each order is its own hypergeometric series (the
     order-raising recurrence cancels catastrophically there: P^n decays
-    like sinh^n while the recurrence terms do not).  Elsewhere P^0 is the
-    Mehler-Dirichlet integral, P^1 the Laplace integral, both fixed-order
-    Gauss-Legendre over blocks of (theta x nodes), with node tables built
-    by Newton's method on the Legendre recurrence (_leggauss_table), and
-    the recurrence raises the order for all theta at once.  Row n does
+    like sinh^n while the recurrence terms do not).  Elsewhere P^0 and
+    P^1 come from one Mehler-Dirichlet kernel, fixed-order Gauss-Legendre
+    over blocks of (theta x nodes), with node tables built by Newton's
+    method on the Legendre recurrence (_leggauss_table), and the
+    recurrence raises the order for all theta at once.  Row n does
     not depend on n_max.  Negative orders: see profile_row.
     """
     th = np.asarray(thetas, dtype=float).reshape(-1)
@@ -94,13 +94,12 @@ def radial_profiles(lam: float, n_max: int, thetas) -> np.ndarray:
     big = th >= SERIES_THETA
     tb = th[big]
     if tb.size:
-        # 40 + 24 lam theta nodes for the oscillatory Mehler-Dirichlet
-        # integrand, fewer for the smooth Laplace integrand of P^1
+        # 40 + 24 lam theta nodes for the oscillatory Mehler-Dirichlet integrand
         order = np.maximum(120, (40 + 24 * abs(lam) * tb).astype(int))
-        p_prev = out[0, big] = _gauss_blocks(_mehler_dirichlet, lam, tb, order)
+        p_prev, p_minus1 = _gauss_blocks(lam, tb, order)
+        out[0, big] = p_prev
         if n_max >= 1:
-            order = np.maximum(100, (60 + 16 * abs(lam) + 10 * tb).astype(int))
-            p_cur = out[1, big] = _gauss_blocks(_laplace_p1, lam, tb, order)
+            p_cur = out[1, big] = -(lam * lam + 0.25) * p_minus1
             rs = np.cosh(tb) / np.sinh(tb)   # x / sqrt(x^2 - 1)
             for mu in range(1, n_max):
                 # P^{mu+1} = -2 mu x/sqrt(x^2-1) P^mu + (nu+mu)(nu-mu+1) P^{mu-1}
@@ -144,45 +143,34 @@ def _series(lam: float, n: int, theta: np.ndarray) -> np.ndarray:
     return pre * total
 
 
-def _gauss_blocks(integrate, lam: float, theta: np.ndarray, orders: np.ndarray):
-    """integrate(lam, theta[:, None], nodes, weights) for every theta, grouped
-    by quantised Gauss order and cut into blocks of _BLOCK rows."""
-    out = np.empty(theta.size)
+def _gauss_blocks(lam: float, theta: np.ndarray, orders: np.ndarray):
+    """(P^0, P^-1) at every theta by _mehler_dirichlet, grouped by
+    quantised Gauss order and cut into blocks of _BLOCK rows."""
+    out = np.empty((2, theta.size))
     quantised = _gauss_order(orders)
     for order in np.unique(quantised)[::-1]:   # the largest order is checked first
         nodes, weights = _leggauss(int(order))
         rows = np.flatnonzero(quantised == order)
         for k in range(0, rows.size, _BLOCK):
             block = rows[k:k + _BLOCK]
-            out[block] = integrate(lam, theta[block, None], nodes, weights)
+            out[:, block] = _mehler_dirichlet(lam, theta[block, None], nodes, weights)
     return out
 
 
 def _mehler_dirichlet(lam, theta, nodes, weights):
-    # P^0 = (2/pi) int_0^theta cos(lam t) / sqrt(2 cosh theta - 2 cosh t) dt;
-    # the substitution t = theta - u^2 removes the endpoint singularity;
-    # 2 cosh theta - 2 cosh t = 4 sinh((theta + t)/2) sinh(u^2/2) exactly,
-    # and the product form does not cancel where t nears theta
+    # DLMF 14.12.4 at mu = 0 and 1, from shared nodes, cosines and
+    # s = sqrt(2 cosh theta - 2 cosh t): P^0 = (2/pi) int_0^theta cos(lam t) / s dt
+    # and P^-1 = (2/pi) / sinh theta * int_0^theta cos(lam t) s dt; t = theta - u^2
+    # removes the endpoint singularity, and s^2 = 4 sinh((theta + t)/2) sinh(u^2/2)
+    # does not cancel where t nears theta
     b = np.sqrt(theta)
     u = 0.5 * b * (nodes + 1.0)
     t = theta - u * u
-    vals = 2 * u * np.cos(lam * t) / np.sqrt(
-        4 * np.sinh((theta + t) / 2) * np.sinh(u * u / 2))
-    return 2 / math.pi * 0.5 * b[:, 0] * (vals * weights).sum(axis=1)
-
-
-def _laplace_p1(lam, theta, nodes, weights):
-    # P^1 = (nu+1) (1/pi) int_0^pi (cosh theta + sinh theta cos t)^nu cos t dt,
-    # nu = i lam - 1/2; the integrand is smooth (the base stays >= e^{-theta})
-    nu = complex(-0.5, lam)
-    t = 0.5 * math.pi * (nodes + 1.0)
-    c = np.cos(t)
-    # the base as a sum of positive terms: cosh - sinh would cancel near t = pi,
-    # where the integrand is largest
-    base = 0.5 * (np.exp(theta) * (1 + c) + np.exp(-theta) * (1 - c))
-    f = np.exp(nu * np.log(base)) * c
-    integral = 0.5 * math.pi * (f * weights).sum(axis=1)
-    return ((nu + 1) * integral / math.pi).real
+    c = 2 * u * np.cos(lam * t)
+    s = np.sqrt(4 * np.sinh((theta + t) / 2) * np.sinh(u * u / 2))
+    pre = 2 / math.pi * 0.5 * b[:, 0]
+    return (pre * (c / s * weights).sum(axis=1),
+            pre / np.sinh(theta[:, 0]) * (c * s * weights).sum(axis=1))
 
 
 def _gauss_order(n):
@@ -266,9 +254,9 @@ def conical_pn(lam: float, n: int, theta: float, n_max: int = N_MAX_DEFAULT) -> 
 
 
 def _md_integrand(u, lam, theta):
-    # substitution t = theta - u^2 removes the endpoint singularity
+    # t = theta - u^2 removes the endpoint singularity; g = 2 cosh theta - 2 cosh t
     t = theta - u * u
-    g = 2 * np.cosh(theta) - 2 * np.cosh(t)
+    g = 4 * np.sinh((theta + t) / 2) * np.sinh(u * u / 2)
     # near u = 0, g ~ 2 sinh(theta) u^2; guard the removable 0/0
     with np.errstate(divide="ignore", invalid="ignore"):
         val = 2 * u * np.cos(lam * t) / np.sqrt(g)

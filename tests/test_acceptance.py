@@ -173,7 +173,7 @@ def test_criterion_7_eigen_residuals():
     for lam in (0.5, 1.0, 2.0):
         for n in (0, 1, 2):
             worst = max(worst, eigen_residual(g, SpectralMode(lam, n)))
-    # (1, 1) is built on P^1 alone; the other rows see the P^0 quadrature
+    # (1, 1) is built on P^1 alone (the P^-1 sum); the other rows see the P^0 sum
     orders = [math.log2(eigen_residual(Grid(0.1, 3.0, 1451, 16), SpectralMode(lam, n))
                         / eigen_residual(g, SpectralMode(lam, n)))
               for lam, n in ((1.0, 1), (0.5, 0), (1.0, 0), (2.0, 0), (1.0, 2))]

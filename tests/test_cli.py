@@ -379,7 +379,9 @@ def test_config_file_validated_with_flags(tmp_path, capsys):
     for data, argv, want in (
             ({"dt": 0.3}, ["simulate", "--T", "0.9"], EXIT_TOLERANCE),
             ({"theta_min": 4.0},
-             ["spectrum", "--theta-max", "5", "--lam", "1", "--n", "0"], EXIT_OK)):
+             ["spectrum", "--theta-max", "5", "--lam", "1", "--n", "0"], EXIT_OK),
+            # the n >= 1 seed holds at large theta
+            ({}, ["spectrum", "--theta-max", "10", "--lam", "0.5", "--n", "3"], EXIT_OK)):
         cfg.write_text(json.dumps(data))
         code, _, _ = run(capsys, *argv, "--config", str(cfg))
         assert code == want

@@ -131,6 +131,23 @@ def test_radial_profiles_match_oracle():
     assert worst < 1e-8
 
 
+def test_radial_profiles_match_mpmath_at_large_theta():
+    # the quadrature branch up to theta = 12 wherever the Gauss budget
+    # allows (40 + 24 lam theta <= GAUSS_ORDER_MAX), and far out at small lam
+    mpmath = pytest.importorskip("mpmath")
+    points = [(lam, theta) for lam in (0.1, 0.5, 1.0, 2.0, 5.0)
+              for theta in (1.2, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+              if 40 + 24 * lam * theta <= conical.GAUSS_ORDER_MAX]
+    points += [(0.01, 40.0), (0.01, 100.0), (0.1, 100.0)]
+    with mpmath.workdps(20):
+        for lam, theta in points:
+            profile = radial_profiles(lam, 8, [theta])[:, 0]
+            for n, val in enumerate(profile):
+                ref = float(mpmath.re(mpmath.legenp(
+                    mpmath.mpc(-0.5, lam), n, mpmath.cosh(theta), type=3)))
+                assert abs(val - ref) <= 1e-11 * abs(ref), (lam, theta, n)
+
+
 # -- Gauss-Legendre tables ----------------------------------------------
 
 
